@@ -217,20 +217,6 @@ func BenchmarkProfilerThroughput(b *testing.B) {
 	b.ReportMetric(float64(accesses), "accesses")
 }
 
-// BenchmarkProfilerThroughputPerAccess is the tracing-path ablation of
-// BenchmarkProfilerThroughput: the same VM and the same serial exact
-// profiler, but every event crosses the per-access Tracer interface
-// instead of arriving in batched Ev chunks with compile-time packed sink
-// operands. The pair is the same-machine evidence for the batched path's
-// speedup (PR 8 acceptance bar: >= 25%).
-func BenchmarkProfilerThroughputPerAccess(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, PerAccess: true})
-	}
-}
-
 // BenchmarkProfilerThroughputTreeWalk is the engine ablation of
 // BenchmarkProfilerThroughput: the identical instrumented run on the
 // reference tree walker. The pair isolates the bytecode VM's effect on

@@ -1,11 +1,10 @@
 package bytecode
 
 import (
-	"container/list"
-	"sync"
 	"time"
 
 	"discopop/internal/ir"
+	"discopop/internal/lru"
 )
 
 // Cache memoizes compiled Programs, keyed by module content-hash. It sits
@@ -14,26 +13,13 @@ import (
 // key, options) pair, while this cache memoizes the compilation itself, so
 // content-identical modules arriving under different job keys (rebuilt
 // workloads, repeated inline submissions, different thread configs) still
-// compile exactly once.
-//
-// Concurrent misses on one hash coalesce through a per-entry sync.Once:
-// the first caller compiles, the rest block until the Program is ready.
-// The cache is LRU-bounded; in-flight entries are never evicted (a caller
-// is blocked on their once), mirroring the profile cache's discipline.
+// compile exactly once. Concurrent misses on one hash coalesce, and the
+// entry count is LRU-bounded (see lru.Cache).
 type Cache struct {
-	mu  sync.Mutex
-	max int
-	m   map[[32]byte]*list.Element
-	lru list.List // front = most recently used; values are *cacheEntry
-
-	hits, misses, evictions int64
+	c *lru.Cache[[32]byte, compiled]
 }
 
-type cacheEntry struct {
-	key  [32]byte
-	once sync.Once
-	done bool
-
+type compiled struct {
 	prog *Program
 	dur  time.Duration
 }
@@ -50,78 +36,26 @@ var Shared = NewCache(DefaultCacheEntries)
 // NewCache returns an empty cache evicting least-recently-used completed
 // entries beyond max (0 = unbounded).
 func NewCache(max int) *Cache {
-	return &Cache{max: max, m: make(map[[32]byte]*list.Element)}
+	return &Cache{lru.New[[32]byte, compiled](max)}
 }
 
 // Get returns the compiled program for m, compiling it on first sight. The
 // hit flag reports whether compilation was skipped; dur is the compile
 // time actually spent by this call (zero on a hit).
 func (c *Cache) Get(m *ir.Module) (prog *Program, hit bool, dur time.Duration) {
-	e := c.entry(ModuleHash(m))
-	hit = true
-	e.once.Do(func() {
-		hit = false
+	v, hit := c.c.Get(ModuleHash(m), func() compiled {
 		start := time.Now()
-		e.prog = Compile(m)
-		e.dur = time.Since(start)
+		p := Compile(m)
+		return compiled{p, time.Since(start)}
 	})
-	c.finish(e, hit)
 	if !hit {
-		dur = e.dur
+		dur = v.dur
 	}
-	return e.prog, hit, dur
-}
-
-func (c *Cache) entry(key [32]byte) *cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry)
-	}
-	e := &cacheEntry{key: key}
-	c.m[key] = c.lru.PushFront(e)
-	for c.max > 0 && c.lru.Len() > c.max {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			slot := el.Value.(*cacheEntry)
-			if !slot.done {
-				continue
-			}
-			delete(c.m, slot.key)
-			c.lru.Remove(el)
-			c.evictions++
-			evicted = true
-			break
-		}
-		if !evicted {
-			break
-		}
-	}
-	return e
-}
-
-func (c *Cache) finish(e *cacheEntry, hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.done = true
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
+	return v.prog, hit, dur
 }
 
 // Stats returns the hit/miss counters and the live entry count.
-func (c *Cache) Stats() (hits, misses int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.m)
-}
+func (c *Cache) Stats() (hits, misses int64, entries int) { return c.c.Stats() }
 
 // Evictions returns the number of entries dropped by the LRU bound.
-func (c *Cache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
+func (c *Cache) Evictions() int64 { return c.c.Evictions() }

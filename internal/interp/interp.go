@@ -19,90 +19,6 @@ import (
 	"discopop/internal/mem"
 )
 
-// LoopFrame is one level of the active loop-nest stack at the time of an
-// access: the loop region and its current iteration number. The profiler
-// uses it to classify dependences as loop-carried.
-type LoopFrame struct {
-	Region int32
-	Iter   int64
-}
-
-// Access describes one dynamic memory access.
-type Access struct {
-	Addr   uint64
-	Loc    ir.Loc
-	Var    *ir.Var
-	Op     int32 // static memory-operation ID (Section 2.4's accessInfo)
-	Thread int32
-	TS     uint64 // global logical timestamp
-	// Loops is the active loop-nest stack, innermost last. The slice is
-	// reused between events; tracers must copy it if they retain it.
-	Loops []LoopFrame
-}
-
-// Tracer receives the instrumentation event stream. Methods are called
-// synchronously in execution order (the simulated-thread scheduler
-// serializes all threads onto one event stream, so cross-thread event order
-// matches the simulated happens-before order).
-type Tracer interface {
-	Load(a Access)
-	Store(a Access)
-	EnterRegion(r *ir.Region, tid int32)
-	ExitRegion(r *ir.Region, iters int64, instrs int64, tid int32)
-	LoopIter(r *ir.Region, iter int64, tid int32)
-	EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32)
-	ExitFunc(f *ir.Func, instrs int64, tid int32)
-	BindVar(v *ir.Var, base uint64, elems int, tid int32)
-	FreeVar(v *ir.Var, base uint64, elems int, tid int32)
-	Lock(id int, tid int32)
-	Unlock(id int, tid int32)
-	ThreadStart(tid, parent int32)
-	ThreadEnd(tid int32)
-}
-
-// BaseTracer is a no-op Tracer that other tracers may embed to implement
-// only the events they care about.
-type BaseTracer struct{}
-
-// Load implements Tracer.
-func (BaseTracer) Load(Access) {}
-
-// Store implements Tracer.
-func (BaseTracer) Store(Access) {}
-
-// EnterRegion implements Tracer.
-func (BaseTracer) EnterRegion(*ir.Region, int32) {}
-
-// ExitRegion implements Tracer.
-func (BaseTracer) ExitRegion(*ir.Region, int64, int64, int32) {}
-
-// LoopIter implements Tracer.
-func (BaseTracer) LoopIter(*ir.Region, int64, int32) {}
-
-// EnterFunc implements Tracer.
-func (BaseTracer) EnterFunc(*ir.Func, ir.Loc, int32) {}
-
-// ExitFunc implements Tracer.
-func (BaseTracer) ExitFunc(*ir.Func, int64, int32) {}
-
-// BindVar implements Tracer.
-func (BaseTracer) BindVar(*ir.Var, uint64, int, int32) {}
-
-// FreeVar implements Tracer.
-func (BaseTracer) FreeVar(*ir.Var, uint64, int, int32) {}
-
-// Lock implements Tracer.
-func (BaseTracer) Lock(int, int32) {}
-
-// Unlock implements Tracer.
-func (BaseTracer) Unlock(int, int32) {}
-
-// ThreadStart implements Tracer.
-func (BaseTracer) ThreadStart(int32, int32) {}
-
-// ThreadEnd implements Tracer.
-func (BaseTracer) ThreadEnd(int32) {}
-
 // MaxThreads is the maximum number of simulated threads per execution. The
 // address-space layout (internal/mem) reserves one stack segment per
 // thread; segments materialize lazily on first touch.
@@ -141,16 +57,13 @@ type Interp struct {
 	mt       bool // true while spawned threads are live
 	mutexes  map[int]int32
 
-	ts        uint64
 	rng       uint64
 	nextOp    int32
 	maxInstrs int64 // 0 = unbounded
 
-	// Batched tracing (VM only; see batch.go): non-nil batch switches
-	// event emission from per-event Tracer calls to Ev records appended to
-	// evs and flushed in chunks.
-	batch BatchTracer
-	evs   []Ev
+	// Trace buffer (see batch.go): events accumulate here and reach the
+	// tracer in chunks. Allocated only for traced runs.
+	evs []Ev
 
 	prog      *bytecode.Program // nil under WithTreeWalk
 	pairStats *bytecode.PairStats
@@ -224,8 +137,8 @@ func New(m *ir.Module, t Tracer, opts ...Option) *Interp {
 		}
 		it.pairStats = cfg.pairStats
 	}
-	if it.tracer != nil {
-		it.enableBatch()
+	if t != nil {
+		it.evs = make([]Ev, 0, evBatchSize)
 	}
 	return it
 }
@@ -290,8 +203,8 @@ func (it *Interp) heapFree(base uint64, n int) {
 }
 
 // Panicf aborts interpretation with a formatted runtime error. Buffered
-// trace events are flushed first, so batch tracers observe everything that
-// preceded the fault, exactly like per-event tracers do.
+// trace events are flushed first, so the tracer observes everything that
+// preceded the fault.
 func (it *Interp) panicf(format string, args ...any) {
 	it.flushEvents()
 	panic(fmt.Sprintf("interp: "+format, args...))
@@ -304,13 +217,9 @@ func (it *Interp) load(t *thread, addr uint64, loc ir.Loc, v *ir.Var, op int32) 
 	if addr >= it.space.Bound() {
 		it.panicf("load out of range: %s[%d] at %s", v.Name, addr, loc)
 	}
-	if it.batch != nil {
+	if it.tracer != nil {
 		it.pushEv(Ev{Addr: addr, Sink: sinkOf(loc, v, t.id),
 			Loc: loc, A: op, B: int32(v.ID)})
-	} else if it.tracer != nil {
-		it.ts++
-		it.tracer.Load(Access{Addr: addr, Loc: loc, Var: v, Op: op,
-			Thread: t.id, TS: it.ts, Loops: t.loops})
 	}
 	return it.space.Load(addr)
 }
@@ -320,13 +229,9 @@ func (it *Interp) store(t *thread, addr uint64, val float64, loc ir.Loc, v *ir.V
 	if addr >= it.space.Bound() {
 		it.panicf("store out of range: %s[%d] at %s", v.Name, addr, loc)
 	}
-	if it.batch != nil {
+	if it.tracer != nil {
 		it.pushEv(Ev{Addr: addr, Sink: sinkOf(loc, v, t.id) | evStoreBit,
 			Loc: loc, A: op, B: int32(v.ID)})
-	} else if it.tracer != nil {
-		it.ts++
-		it.tracer.Store(Access{Addr: addr, Loc: loc, Var: v, Op: op,
-			Thread: t.id, TS: it.ts, Loops: t.loops})
 	}
 	it.space.Store(addr, val)
 }

@@ -190,31 +190,28 @@ func TestReturnInsideLoopFiresExitRegion(t *testing.T) {
 	mb.CallInto(ir.V(out), fd, ir.CI(7))
 	m := b.Build(mb.Done())
 
-	exits := map[int]int64{}
-	tr := &regionTracer{exits: exits}
-	it := New(m, tr)
+	rec := &evRecorder{}
+	it := New(m, rec)
 	it.Run()
 	if got := it.space.Load(it.globalBase[out]); got != 7 {
 		t.Fatalf("early return value = %v, want 7", got)
 	}
-	if len(exits) == 0 {
+	exits, depth := 0, 0
+	for _, ev := range rec.evs {
+		switch ev.Kind() {
+		case EvEnterRegion:
+			depth++
+		case EvExitRegion:
+			depth--
+			exits++
+		}
+	}
+	if exits == 0 {
 		t.Fatal("no ExitRegion events for early-returned loop")
 	}
-	if tr.depth != 0 {
-		t.Fatalf("unbalanced region events: depth %d", tr.depth)
+	if depth != 0 {
+		t.Fatalf("unbalanced region events: depth %d", depth)
 	}
-}
-
-type regionTracer struct {
-	BaseTracer
-	exits map[int]int64
-	depth int
-}
-
-func (r *regionTracer) EnterRegion(reg *ir.Region, tid int32) { r.depth++ }
-func (r *regionTracer) ExitRegion(reg *ir.Region, iters, instrs int64, tid int32) {
-	r.depth--
-	r.exits[reg.ID] = iters
 }
 
 func TestHeapFreeAndReuse(t *testing.T) {
@@ -246,10 +243,14 @@ func TestStackReuseAcrossCalls(t *testing.T) {
 	mb.Call(fd)
 	mb.Call(fd)
 	m := b.Build(mb.Done())
+	rec := &evRecorder{}
+	New(m, rec).Run()
 	binds := map[uint64]int{}
-	tr := &bindTracer{binds: binds}
-	it := New(m, tr)
-	it.Run()
+	for _, ev := range rec.evs {
+		if ev.Kind() == EvBindVar && m.Vars[ev.A].Name == "x" {
+			binds[ev.Addr]++
+		}
+	}
 	// Both calls must bind x at the same (reused) stack address.
 	for addr, n := range binds {
 		if n != 2 {
@@ -258,17 +259,6 @@ func TestStackReuseAcrossCalls(t *testing.T) {
 	}
 	if len(binds) != 1 {
 		t.Fatalf("distinct bind addresses: %d, want 1", len(binds))
-	}
-}
-
-type bindTracer struct {
-	BaseTracer
-	binds map[uint64]int
-}
-
-func (b *bindTracer) BindVar(v *ir.Var, base uint64, elems int, tid int32) {
-	if v.Name == "x" {
-		b.binds[base]++
 	}
 }
 
@@ -332,60 +322,83 @@ func TestSpawnInterleavesThreads(t *testing.T) {
 	mb.Spawn(wf)
 	mb.Sync()
 	m := b.Build(mb.Done())
-	tr := &orderTracer{}
-	it := New(m, tr)
-	it.Run()
+	rec := &evRecorder{}
+	New(m, rec).Run()
+	var tids []int32
+	for _, ev := range rec.evs {
+		if ev.Kind() == EvStore && ev.Tid() > 0 {
+			tids = append(tids, ev.Tid())
+		}
+	}
 	switches := 0
-	for i := 1; i < len(tr.tids); i++ {
-		if tr.tids[i] != tr.tids[i-1] {
+	for i := 1; i < len(tids); i++ {
+		if tids[i] != tids[i-1] {
 			switches++
 		}
 	}
 	if switches < 10 {
 		t.Fatalf("threads barely interleaved: %d switches over %d events",
-			switches, len(tr.tids))
-	}
-	_ = it
-}
-
-type orderTracer struct {
-	BaseTracer
-	tids []int32
-}
-
-func (o *orderTracer) Store(a Access) {
-	if a.Thread > 0 {
-		o.tids = append(o.tids, a.Thread)
+			switches, len(tids))
 	}
 }
 
+// TestTimestampsStrictlyIncrease: access events carry no timestamp — a
+// consumer's logical clock is the access's position in the stream. That
+// clock is sound only if every executed access arrives exactly once, in
+// order, across chunk boundaries: the loop below emits several chunks,
+// and each one must start where the previous one ended.
 func TestTimestampsStrictlyIncrease(t *testing.T) {
 	b := ir.NewBuilder("ts")
 	out := b.Global("out", ir.F64)
 	fb := b.Func("main")
-	fb.For("i", ir.CI(0), ir.CI(50), ir.CI(1), func(i *ir.Var) {
+	fb.For("i", ir.CI(0), ir.CI(3*evBatchSize), ir.CI(1), func(i *ir.Var) {
 		fb.Set(out, ir.Add(ir.V(out), ir.V(i)))
 	})
 	m := b.Build(fb.Done())
-	tr := &tsTracer{}
-	New(m, tr).Run()
-	for i := 1; i < len(tr.ts); i++ {
-		if tr.ts[i] <= tr.ts[i-1] {
-			t.Fatalf("timestamps not strictly increasing at %d", i)
+	for _, opts := range [][]Option{{WithTreeWalk()}, nil} {
+		tc := &clockTracer{}
+		it := New(m, tc, opts...)
+		it.Run()
+		if tc.bad != "" {
+			t.Fatal(tc.bad)
+		}
+		if tc.chunks < 2 {
+			t.Fatalf("%d chunks, want several", tc.chunks)
+		}
+		if tc.ts != uint64(it.Loads+it.Stores) {
+			t.Fatalf("stream clock = %d, interpreter executed %d accesses",
+				tc.ts, it.Loads+it.Stores)
+		}
+		if tc.lastIter != 3*evBatchSize {
+			t.Fatalf("last iteration seen = %d, want %d", tc.lastIter, 3*evBatchSize)
 		}
 	}
-	if len(tr.ts) == 0 {
-		t.Fatal("no events observed")
+}
+
+// clockTracer counts access events across chunks and checks that loop
+// iterations arrive in increasing order, one chunk after another.
+type clockTracer struct {
+	ts       uint64
+	chunks   int
+	lastIter int64
+	bad      string
+}
+
+func (c *clockTracer) ProcessBatch(_ *ir.Module, evs []Ev) {
+	c.chunks++
+	for i := range evs {
+		switch evs[i].Kind() {
+		case EvLoad, EvStore:
+			c.ts++
+		case EvLoopIter:
+			n := int64(evs[i].Addr)
+			if n != 0 && n != c.lastIter+1 && c.bad == "" {
+				c.bad = fmt.Sprintf("iteration %d follows %d", n, c.lastIter)
+			}
+			c.lastIter = n
+		}
 	}
 }
-
-type tsTracer struct {
-	BaseTracer
-	ts []uint64
-}
-
-func (tt *tsTracer) Load(a Access)  { tt.ts = append(tt.ts, a.TS) }
-func (tt *tsTracer) Store(a Access) { tt.ts = append(tt.ts, a.TS) }
 
 func TestPrepareOpsIdempotent(t *testing.T) {
 	b := ir.NewBuilder("ops")
@@ -400,9 +413,10 @@ func TestPrepareOpsIdempotent(t *testing.T) {
 	}
 }
 
+// TestLoopIterationContext: a consumer tracking the loop nest from the
+// EvLoopPush/EvLoopIter/EvExitRegion events sees every body access inside
+// the current loop and iteration.
 func TestLoopIterationContext(t *testing.T) {
-	// The Loops stack exposed to tracers must name the current loop and
-	// iteration.
 	b := ir.NewBuilder("ctx")
 	out := b.Global("out", ir.F64)
 	fb := b.Func("main")
@@ -411,36 +425,34 @@ func TestLoopIterationContext(t *testing.T) {
 		fb.Set(out, ir.V(i))
 	})
 	m := b.Build(fb.Done())
-	tr := &loopCtxTracer{want: int32(loopReg.ID)}
-	New(m, tr).Run()
-	if tr.bad {
-		t.Fatal("access loop context did not match the active loop")
-	}
-	if tr.maxIter != 4 {
-		t.Fatalf("max observed iteration = %d, want 4", tr.maxIter)
-	}
-}
-
-type loopCtxTracer struct {
-	BaseTracer
-	want    int32
-	bad     bool
-	maxIter int64
-}
-
-func (lt *loopCtxTracer) Store(a Access) {
-	if a.Var.Name != "out" {
-		return // header induction-variable stores run outside iterations
-	}
-	if len(a.Loops) == 0 {
-		lt.bad = true
-		return
-	}
-	top := a.Loops[len(a.Loops)-1]
-	if top.Region != lt.want {
-		lt.bad = true
-	}
-	if top.Iter > lt.maxIter {
-		lt.maxIter = top.Iter
+	for _, opts := range [][]Option{{WithTreeWalk()}, nil} {
+		rec := &evRecorder{}
+		New(m, rec, opts...).Run()
+		type frame struct{ region, iter int64 }
+		var nest []frame
+		maxIter := int64(-1)
+		for _, ev := range rec.evs {
+			switch ev.Kind() {
+			case EvLoopPush:
+				nest = append(nest, frame{int64(ev.A), 0})
+			case EvLoopIter:
+				nest[len(nest)-1].iter = int64(ev.Addr)
+			case EvExitRegion:
+				if m.Regions[ev.A].Kind == ir.RLoop {
+					nest = nest[:len(nest)-1]
+				}
+			case EvStore:
+				if m.Vars[ev.B].Name != "out" {
+					continue // header induction-variable stores run outside iterations
+				}
+				if len(nest) == 0 || nest[len(nest)-1].region != int64(loopReg.ID) {
+					t.Fatal("access loop context did not match the active loop")
+				}
+				maxIter = max(maxIter, nest[len(nest)-1].iter)
+			}
+		}
+		if maxIter != 4 {
+			t.Fatalf("max observed iteration = %d, want 4", maxIter)
+		}
 	}
 }

@@ -25,7 +25,6 @@ type thread struct {
 	id       int32
 	parent   int32
 	frames   []*frame
-	loops    []LoopFrame
 	stack    uint64 // base of this thread's stack segment
 	sp       uint64
 	resume   chan struct{}

@@ -8,84 +8,32 @@ import (
 	"discopop/internal/workloads"
 )
 
-// traceHasher folds every instrumentation event — in order, with every
-// field — into one FNV-1a sum. Two runs that produce the same sum, event
-// count, and instruction counters emitted byte-identical traces; this is
-// the oracle for the walker-vs-VM differential tests below.
-type traceHasher struct {
-	sum    uint64
-	events int64
-}
+// evRecorder keeps the whole event stream, copying each chunk (the
+// interpreter reuses its buffer). Two runs whose recorders hold equal
+// slices emitted the same events, field for field, in the same order; this
+// is the oracle of the walker-vs-VM differential tests below.
+type evRecorder struct{ evs []Ev }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+func (r *evRecorder) ProcessBatch(_ *ir.Module, evs []Ev) { r.evs = append(r.evs, evs...) }
 
-func (h *traceHasher) mix(words ...uint64) {
-	s := h.sum
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			s ^= w & 0xff
-			s *= fnvPrime
-			w >>= 8
+// diffEvents describes the first difference between two event streams, or
+// returns "" when they are identical.
+func diffEvents(a, b []Ev) string {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return fmt.Sprintf("event %d (of %d vs %d) differs: %+v vs %+v", i, len(a), len(b), a[i], b[i])
 		}
 	}
-	h.sum = s
-	h.events++
-}
-
-func vid(v *ir.Var) uint64 {
-	if v == nil {
-		return ^uint64(0)
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d vs %d events after an identical prefix", len(a), len(b))
 	}
-	return uint64(uint32(v.ID))
+	return ""
 }
 
-func (h *traceHasher) access(tag uint64, a Access) {
-	h.mix(tag, a.Addr, a.Loc.Key(), vid(a.Var), uint64(uint32(a.Op)),
-		uint64(uint32(a.Thread)), a.TS, uint64(len(a.Loops)))
-	// Loops is reused between events — fold the contents immediately.
-	for _, f := range a.Loops {
-		h.mix(uint64(uint32(f.Region)), uint64(f.Iter))
-	}
-}
-
-func (h *traceHasher) Load(a Access)  { h.access(1, a) }
-func (h *traceHasher) Store(a Access) { h.access(2, a) }
-func (h *traceHasher) EnterRegion(r *ir.Region, tid int32) {
-	h.mix(3, uint64(uint32(r.ID)), uint64(uint32(tid)))
-}
-func (h *traceHasher) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
-	h.mix(4, uint64(uint32(r.ID)), uint64(iters), uint64(instrs), uint64(uint32(tid)))
-}
-func (h *traceHasher) LoopIter(r *ir.Region, iter int64, tid int32) {
-	h.mix(5, uint64(uint32(r.ID)), uint64(iter), uint64(uint32(tid)))
-}
-func (h *traceHasher) EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
-	h.mix(6, uint64(uint32(f.ID)), callLoc.Key(), uint64(uint32(tid)))
-}
-func (h *traceHasher) ExitFunc(f *ir.Func, instrs int64, tid int32) {
-	h.mix(7, uint64(uint32(f.ID)), uint64(instrs), uint64(uint32(tid)))
-}
-func (h *traceHasher) BindVar(v *ir.Var, base uint64, elems int, tid int32) {
-	h.mix(8, vid(v), base, uint64(elems), uint64(uint32(tid)))
-}
-func (h *traceHasher) FreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	h.mix(9, vid(v), base, uint64(elems), uint64(uint32(tid)))
-}
-func (h *traceHasher) Lock(id int, tid int32)   { h.mix(10, uint64(id), uint64(uint32(tid))) }
-func (h *traceHasher) Unlock(id int, tid int32) { h.mix(11, uint64(id), uint64(uint32(tid))) }
-func (h *traceHasher) ThreadStart(tid, parent int32) {
-	h.mix(12, uint64(uint32(tid)), uint64(uint32(parent)))
-}
-func (h *traceHasher) ThreadEnd(tid int32) { h.mix(13, uint64(uint32(tid))) }
-
-// engineRun captures everything a run exposes: the trace digest and the
+// engineRun captures everything a run exposes: the event stream and the
 // interpreter's own counters.
 type engineRun struct {
-	sum    uint64
-	events int64
+	evs    []Ev
 	ret    int64
 	instrs int64
 	loads  int64
@@ -93,21 +41,23 @@ type engineRun struct {
 }
 
 func runEngine(m *ir.Module, opts ...Option) engineRun {
-	th := &traceHasher{sum: fnvOffset}
-	it := New(m, th, opts...)
+	rec := &evRecorder{}
+	it := New(m, rec, opts...)
 	ret := it.Run()
 	return engineRun{
-		sum: th.sum, events: th.events, ret: ret,
+		evs: rec.evs, ret: ret,
 		instrs: it.Instrs, loads: it.Loads, stores: it.Stores,
 	}
 }
 
 // TestVMMatchesTreeWalkAcrossRegistry: for every bundled workload — the
-// full registry, multi-threaded ones included — the bytecode VM emits a
-// trace byte-identical to the reference tree walker's, with identical
-// instruction, load, and store counts. This is the contract that makes
-// the VM a drop-in engine: every profiler artifact is a pure function of
-// this event stream.
+// full registry, multi-threaded ones included — the bytecode VM emits an
+// Ev stream identical to the reference tree walker's, field for field,
+// with identical instruction, load, and store counts. This is the
+// contract that makes the VM a drop-in engine: every profiler artifact is
+// a pure function of this event stream. It also pins everything the
+// packing touches: kind/thread bits in the Sink word, EvExitRegion's
+// instruction count riding in the Loc field, and where EvLoopPush lands.
 func TestVMMatchesTreeWalkAcrossRegistry(t *testing.T) {
 	for _, name := range workloads.Names("") {
 		name := name
@@ -116,9 +66,8 @@ func TestVMMatchesTreeWalkAcrossRegistry(t *testing.T) {
 			m := workloads.MustBuild(name, 1).M
 			walk := runEngine(m, WithTreeWalk())
 			vm := runEngine(m)
-			if walk.sum != vm.sum || walk.events != vm.events {
-				t.Errorf("trace diverged: walker %016x (%d events), vm %016x (%d events)",
-					walk.sum, walk.events, vm.sum, vm.events)
+			if d := diffEvents(walk.evs, vm.evs); d != "" {
+				t.Errorf("trace diverged (walker vs vm): %s", d)
 			}
 			if walk.instrs != vm.instrs || walk.ret != vm.ret {
 				t.Errorf("instrs diverged: walker %d (ret %d), vm %d (ret %d)",
@@ -251,9 +200,11 @@ func TestThreadIDRecyclingTraced(t *testing.T) {
 	m := buildSpawnLoop(70)
 	walk := runEngine(m, WithTreeWalk())
 	vm := runEngine(m)
-	if walk.sum != vm.sum || walk.events != vm.events || walk.instrs != vm.instrs {
-		t.Errorf("recycled trace diverged: walker %016x/%d events/%d instrs, vm %016x/%d events/%d instrs",
-			walk.sum, walk.events, walk.instrs, vm.sum, vm.events, vm.instrs)
+	if d := diffEvents(walk.evs, vm.evs); d != "" {
+		t.Errorf("recycled trace diverged (walker vs vm): %s", d)
+	}
+	if walk.instrs != vm.instrs {
+		t.Errorf("recycled run instrs diverged: walker %d, vm %d", walk.instrs, vm.instrs)
 	}
 }
 
@@ -283,5 +234,81 @@ func TestLiveThreadOverflowStillPanics(t *testing.T) {
 	}
 	if wmsg != vmsg {
 		t.Errorf("overflow panic diverged:\n  walker: %s\n  vm:     %s", wmsg, vmsg)
+	}
+}
+
+// oobModule builds a module whose 7th store lands outside the bound of a
+// 4-element global array.
+func oobModule() *ir.Module {
+	b := ir.NewBuilder("oob")
+	arr := b.GlobalArray("arr", ir.F64, 4)
+	fb := b.Func("main")
+	fb.For("i", ir.CI(0), ir.CI(10), ir.CI(1), func(i *ir.Var) {
+		fb.SetAt(arr, ir.V(i), ir.CF(1))
+	})
+	return b.Build(fb.Done())
+}
+
+// runToPanic drives a traced run to completion or panic, returning the
+// panic message ("" if none).
+func runToPanic(m *ir.Module, tr Tracer, opts ...Option) (msg string) {
+	it := New(m, tr, opts...)
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	it.Run()
+	return
+}
+
+// TestFaultingAccessEmitsNoEvent: an out-of-range access panics on both
+// engines *without* feeding the bogus address to the tracer, and with the
+// pre-fault prefix of the trace delivered identically (the buffer is
+// flushed before the panic propagates). The bounds check precedes event
+// emission because a VM fast path once emitted the event before the bound
+// test, poisoning the dependence table of any consumer that recovers.
+func TestFaultingAccessEmitsNoEvent(t *testing.T) {
+	engines := []struct {
+		name string
+		opts []Option
+	}{
+		{"treewalk", []Option{WithTreeWalk()}},
+		{"vm", nil},
+	}
+	var refMsg string
+	var refEvs []Ev
+	for i, eng := range engines {
+		m := oobModule()
+		bound := New(m, nil).Space().Bound()
+		rec := &evRecorder{}
+		msg := runToPanic(m, rec, eng.opts...)
+		if msg == "" {
+			t.Fatalf("%s: out-of-range store did not panic", eng.name)
+		}
+		accesses := 0
+		for _, ev := range rec.evs {
+			if k := ev.Kind(); k != EvLoad && k != EvStore {
+				continue
+			}
+			accesses++
+			if ev.Addr >= bound {
+				t.Errorf("%s: faulting address %d (bound %d) was delivered to the tracer",
+					eng.name, ev.Addr, bound)
+			}
+		}
+		if accesses == 0 {
+			t.Errorf("%s: the pre-fault prefix was not delivered", eng.name)
+		}
+		if i == 0 {
+			refMsg, refEvs = msg, rec.evs
+			continue
+		}
+		if msg != refMsg {
+			t.Errorf("%s panic diverged from %s:\n  %s\n  %s", eng.name, engines[0].name, msg, refMsg)
+		}
+		if d := diffEvents(refEvs, rec.evs); d != "" {
+			t.Errorf("%s pre-fault trace diverged from %s: %s", eng.name, engines[0].name, d)
+		}
 	}
 }

@@ -6,8 +6,8 @@
 // the computational-unit builder, and the discovery algorithms reason about.
 //
 // The representation is a structured three-address-style AST rather than a
-// textual IR; a lowering pass (see cfg.go) produces a basic-block CFG for the
-// control-dependence analyses of Chapter 3.
+// textual IR: control constructs stay nested, so every analysis reads loop
+// and branch structure directly from the tree.
 package ir
 
 import (

@@ -97,7 +97,6 @@ func (t *Tree) NodeForRegion(r *ir.Region) *Node {
 
 // Builder is an interp.Tracer that constructs the PET during execution.
 type Builder struct {
-	interp.BaseTracer
 	tree  *Tree
 	stack [][]*Node // per-thread construct stack
 }
@@ -131,22 +130,19 @@ func (b *Builder) child(parent *Node, kind NodeKind, f *ir.Func, r *ir.Region,
 	return n
 }
 
-// EnterFunc implements interp.Tracer.
-func (b *Builder) EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
+func (b *Builder) enterFunc(f *ir.Func, tid int32) {
 	n := b.child(b.top(tid), NFunc, f, nil, f.Loc, ECall)
 	n.Entries++
 	b.stack[tid] = append(b.stack[tid], n)
 }
 
-// ExitFunc implements interp.Tracer.
-func (b *Builder) ExitFunc(f *ir.Func, instrs int64, tid int32) {
+func (b *Builder) exitFunc(instrs int64, tid int32) {
 	n := b.top(tid)
 	n.Instrs += instrs
 	b.stack[tid] = b.stack[tid][:len(b.stack[tid])-1]
 }
 
-// EnterRegion implements interp.Tracer.
-func (b *Builder) EnterRegion(r *ir.Region, tid int32) {
+func (b *Builder) enterRegion(r *ir.Region, tid int32) {
 	if r.Kind != ir.RLoop {
 		return // branches contribute to their parent block
 	}
@@ -155,8 +151,7 @@ func (b *Builder) EnterRegion(r *ir.Region, tid int32) {
 	b.stack[tid] = append(b.stack[tid], n)
 }
 
-// ExitRegion implements interp.Tracer.
-func (b *Builder) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
+func (b *Builder) exitRegion(r *ir.Region, iters, instrs int64, tid int32) {
 	if r.Kind != ir.RLoop {
 		return
 	}
@@ -166,22 +161,21 @@ func (b *Builder) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
 	b.stack[tid] = b.stack[tid][:len(b.stack[tid])-1]
 }
 
-// ProcessBatch implements interp.BatchTracer: the builder consumes only
-// function and loop-region boundaries, so a batch reduces to a switch over
-// four event kinds with every access skipped at one comparison each —
-// keeping the PET in pipelines that run the VM's batched traced path.
+// ProcessBatch implements interp.Tracer: the builder consumes only
+// function and loop-region boundaries, so a chunk reduces to a switch over
+// four event kinds with every access skipped at one comparison each.
 func (b *Builder) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 	for i := range evs {
 		ev := &evs[i]
 		switch ev.Kind() {
 		case interp.EvEnterFunc:
-			b.EnterFunc(m.Funcs[ev.A], ev.Loc, ev.Tid())
+			b.enterFunc(m.Funcs[ev.A], ev.Tid())
 		case interp.EvExitFunc:
-			b.ExitFunc(m.Funcs[ev.A], int64(ev.Addr), ev.Tid())
+			b.exitFunc(int64(ev.Addr), ev.Tid())
 		case interp.EvEnterRegion:
-			b.EnterRegion(m.Regions[ev.A], ev.Tid())
+			b.enterRegion(m.Regions[ev.A], ev.Tid())
 		case interp.EvExitRegion:
-			b.ExitRegion(m.Regions[ev.A], int64(ev.Addr), interp.UnpackI64(ev.Loc), ev.Tid())
+			b.exitRegion(m.Regions[ev.A], int64(ev.Addr), interp.UnpackI64(ev.Loc), ev.Tid())
 		}
 	}
 }

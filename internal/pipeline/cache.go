@@ -1,13 +1,11 @@
 package pipeline
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"discopop/internal/ir"
+	"discopop/internal/lru"
 	"discopop/internal/pet"
 	"discopop/internal/profiler"
 )
@@ -42,19 +40,7 @@ import (
 // — jobs already holding the evicted entry are unaffected, and a later
 // request for the key simply re-profiles.
 type ProfileCache struct {
-	mu  sync.Mutex
-	max int // entry cap; 0 = unbounded
-	m   map[profileKey]*list.Element
-	lru list.List // front = most recently used; Values are *cacheSlot
-
-	hits, misses, evictions int64
-}
-
-// cacheSlot is one LRU node: the key (needed to unmap on eviction) plus the
-// memoized entry.
-type cacheSlot struct {
-	key profileKey
-	e   *profileEntry
+	c *lru.Cache[profileKey, *profileEntry]
 }
 
 // DefaultCacheEntries is the entry cap of NewProfileCache — generous enough
@@ -70,11 +56,6 @@ type profileKey struct {
 }
 
 type profileEntry struct {
-	once sync.Once
-	// done flips after the once completes; the LRU never evicts an entry
-	// still in flight (see the ProfileCache doc).
-	done atomic.Bool
-
 	mod      *ir.Module
 	res      *profiler.Result
 	tree     *pet.Tree
@@ -91,84 +72,30 @@ func NewProfileCache() *ProfileCache {
 // NewProfileCacheSize returns an empty cache evicting least-recently-used
 // entries beyond max (0 = unbounded).
 func NewProfileCacheSize(max int) *ProfileCache {
-	return &ProfileCache{max: max, m: map[profileKey]*list.Element{}}
+	return &ProfileCache{lru.New[profileKey, *profileEntry](max)}
 }
 
 // Stats returns the hit/miss counters.
 func (c *ProfileCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	hits, misses, _ = c.c.Stats()
+	return hits, misses
 }
 
 // Evictions returns the number of entries dropped by the LRU bound.
-func (c *ProfileCache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
-}
+func (c *ProfileCache) Evictions() int64 { return c.c.Evictions() }
 
 // Len returns the number of live entries.
-func (c *ProfileCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-func (c *ProfileCache) entry(key profileKey) *profileEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheSlot).e
-	}
-	e := &profileEntry{}
-	c.m[key] = c.lru.PushFront(&cacheSlot{key: key, e: e})
-	// Evict least-recently-used completed entries down to the cap; entries
-	// still in flight are skipped (they may exceed the cap transiently).
-	for c.max > 0 && c.lru.Len() > c.max {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			slot := el.Value.(*cacheSlot)
-			if !slot.e.done.Load() {
-				continue
-			}
-			delete(c.m, slot.key)
-			c.lru.Remove(el)
-			c.evictions++
-			evicted = true
-			break
-		}
-		if !evicted {
-			break
-		}
-	}
-	return e
-}
-
-func (c *ProfileCache) count(hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-}
+func (c *ProfileCache) Len() int { return c.c.Len() }
 
 // lookup returns the memoized profile for (key, opt), running the
 // instrumented execution on mod if this is the first request. The returned
 // hit flag reports whether profiling was skipped.
 func (c *ProfileCache) lookup(key string, opt profiler.Options, mod *ir.Module, maxInstrs int64) (*profileEntry, bool) {
-	e := c.entry(profileKey{mod: key, opt: opt})
-	hit := true
-	e.once.Do(func() {
-		hit = false
+	return c.c.Get(profileKey{mod: key, opt: opt}, func() *profileEntry {
+		e := &profileEntry{}
 		e.run(mod, opt, maxInstrs)
+		return e
 	})
-	e.done.Store(true)
-	c.count(hit)
-	return e, hit
 }
 
 // run executes the instrumented run that the Profile and BuildPET stages
@@ -186,7 +113,7 @@ func (e *profileEntry) run(mod *ir.Module, opt profiler.Options, maxInstrs int64
 			e.err = fmt.Errorf("profile cache: target program failed: %v", r)
 		}
 	}()
-	ex, execTime := execInstrumented(mod, prof, nil, maxInstrs, opt.TreeWalk)
+	ex, execTime := execInstrumented(mod, prof, maxInstrs, opt.TreeWalk)
 	e.execTime = execTime
 	res := prof.Result()
 	e.mod, e.res, e.tree, e.instrs = mod, res, buildTree(ex.pb, ex.instrs, res), ex.instrs

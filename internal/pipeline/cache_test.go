@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"discopop/internal/interp"
 	"discopop/internal/profiler"
 	"discopop/internal/workloads"
 )
@@ -80,37 +79,6 @@ func TestProfileCacheDistinguishesOptions(t *testing.T) {
 		t.Errorf("cache stats = %d hits / %d misses, want 0/2", hits, misses)
 	}
 }
-
-// TestProfileCacheIgnoredWithExtraTracers: jobs carrying extra tracers
-// must always execute, or their tracers would observe nothing.
-func TestProfileCacheIgnoredWithExtraTracers(t *testing.T) {
-	cache := NewProfileCache()
-	counter := &loadCounter{}
-	opt := Options{Cache: cache, CacheKey: "histogram@1",
-		ExtraTracers: []interp.Tracer{counter}}
-	for i := 0; i < 2; i++ {
-		ctx := &Context{Mod: workloads.MustBuild("histogram", 1).M, Opt: opt}
-		if err := New().Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if ctx.CacheHit {
-			t.Fatal("job with extra tracers served from cache")
-		}
-	}
-	if counter.loads == 0 {
-		t.Fatal("extra tracer observed no execution")
-	}
-	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
-		t.Errorf("cache consulted for uncacheable jobs: %d hits / %d misses", hits, misses)
-	}
-}
-
-type loadCounter struct {
-	interp.BaseTracer
-	loads int64
-}
-
-func (c *loadCounter) Load(interp.Access) { c.loads++ }
 
 // TestEngineCountsCacheHits: batch jobs sharing one cache coalesce on one
 // profiled execution, and the fleet stats report the hits.
@@ -249,20 +217,38 @@ func TestFleetStatsCacheEvictions(t *testing.T) {
 // numbering). The cap may be exceeded transiently instead.
 func TestLRUNeverEvictsInFlightEntries(t *testing.T) {
 	c := NewProfileCacheSize(1)
-	e1 := c.entry(profileKey{mod: "a"}) // in flight: done not yet set
-	c.entry(profileKey{mod: "b"})       // over cap, but nothing evictable
+	// hold starts a lookup of key whose profiling run stays in flight
+	// until the returned release is called; release waits for completion.
+	hold := func(key string) (release func()) {
+		started, unblock, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			c.c.Get(profileKey{mod: key}, func() *profileEntry {
+				close(started)
+				<-unblock
+				return &profileEntry{}
+			})
+			close(done)
+		}()
+		<-started
+		return func() { close(unblock); <-done }
+	}
+	releaseA := hold("a")
+	releaseB := hold("b") // over cap, but nothing evictable
 	if n, ev := c.Len(), c.Evictions(); n != 2 || ev != 0 {
 		t.Fatalf("in-flight entry evicted: len=%d evictions=%d", n, ev)
 	}
-	e1.done.Store(true)
-	c.entry(profileKey{mod: "c"}) // now "a" (completed, least recent) goes
+	releaseA()
+	releaseC := hold("c") // now "a" (completed, least recent) goes
 	if n, ev := c.Len(), c.Evictions(); n != 2 || ev != 1 {
 		t.Fatalf("completed entry not evicted: len=%d evictions=%d", n, ev)
 	}
-	if _, ok := c.m[profileKey{mod: "a"}]; ok {
-		t.Fatal("completed LRU entry still mapped")
-	}
-	if _, ok := c.m[profileKey{mod: "b"}]; !ok {
+	releaseB()
+	releaseC()
+	fill := func() *profileEntry { return &profileEntry{} }
+	if _, hit := c.c.Get(profileKey{mod: "b"}, fill); !hit {
 		t.Fatal("in-flight entry was dropped")
+	}
+	if _, hit := c.c.Get(profileKey{mod: "a"}, fill); hit {
+		t.Fatal("completed LRU entry still mapped")
 	}
 }

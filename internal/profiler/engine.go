@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"discopop/internal/bytecode"
 	"discopop/internal/ir"
 	"discopop/internal/sig"
 )
@@ -47,15 +46,11 @@ type migration struct {
 	done        chan struct{}
 }
 
-// packInfo packs an access's sink identity: file(10) | line(22) | var(16) |
-// thread(8) | 0(8). The file field is always >= 1, so packed info is
-// non-zero and a zero sig.Entry means "empty". The layout is owned by
-// bytecode.PackSink so the compiler can bake the static half into per-pc
-// operand tables; on the batched path rec.info arrives pre-packed and this
-// function only runs for per-event (walker / legacy tracer) streams.
-func packInfo(loc ir.Loc, varID int32, thread int32) uint64 {
-	return bytecode.PackSink(loc, varID) | bytecode.SinkThread(thread)
-}
+// rec.info is an access's packed sink identity: file(10) | line(22) |
+// var(16) | thread(8) | 0(8), as events deliver it. The file field is
+// always >= 1, so packed info is non-zero and a zero sig.Entry means
+// "empty". The layout is owned by bytecode.PackSink so the compiler can
+// bake the static half into per-pc operand tables.
 
 func unpackLoc(info uint64) ir.Loc {
 	return ir.Loc{File: int32(info >> 54), Line: int32((info >> 32) & 0x3FFFFF)}

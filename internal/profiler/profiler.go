@@ -46,11 +46,6 @@ type Options struct {
 	// instead of the bytecode VM. The event streams are identical; the
 	// walker is kept for differential testing and debugging.
 	TreeWalk bool
-	// PerAccess disables batched tracing: the VM delivers every event
-	// through the per-access Tracer interface instead of ProcessBatch
-	// chunks. Ablation and differential-testing knob; results are
-	// identical either way.
-	PerAccess bool
 }
 
 func (o *Options) defaults() {
@@ -68,7 +63,6 @@ func (o *Options) defaults() {
 // Profiler is an interp.Tracer that profiles data dependences. Use New,
 // pass it to interp.New, run the program, then call Result.
 type Profiler struct {
-	interp.BaseTracer
 	mod *ir.Module
 	opt Options
 
@@ -107,20 +101,19 @@ type Profiler struct {
 
 	accesses int64
 
-	// recbuf is the reusable access-record buffer of ProcessBatch: one
-	// batch's loads/stores/removes accumulate here and reach the engine (or
-	// pipe) as whole chunks.
+	// recbuf is the reusable access-record buffer of the pipeline modes:
+	// one chunk's loads/stores/removes accumulate here and reach the pipe
+	// as a whole.
 	recbuf []rec
-	// ts reconstructs the interpreter clock on the batched path: batch
-	// events carry no timestamp (the clock ticks exactly once per access, in
-	// stream order), so the consumer counts the accesses itself.
+	// ts is the logical clock: events carry no timestamp (the clock ticks
+	// exactly once per access, in stream order), so the consumer counts the
+	// accesses itself.
 	ts uint64
 }
 
 // pipe is the non-generic control seam of the worker pipelines: the
-// producer-side hot calls plus the merge-time teardown.
+// producer-side hot call plus the merge-time teardown.
 type pipe interface {
-	produce(r rec)
 	produceBatch(rs []rec)
 	finish() []engineDump
 }
@@ -209,24 +202,6 @@ func (p *Profiler) skipRegions(nRegions int32) int32 {
 	return nRegions
 }
 
-// route dispatches one access record to the active pipeline. The serial
-// cases name the concrete engine type, so the whole per-access path —
-// process, load/store, the signature Get/Put pairs, and the dependence
-// accumulator — is one direct call chain.
-func (p *Profiler) route(r rec) {
-	p.accesses++
-	switch {
-	case p.engP != nil:
-		p.engP.process(&r)
-	case p.engS != nil:
-		p.engS.process(&r)
-	case p.mtp != nil:
-		p.mtp.produce(r)
-	default:
-		p.par.produce(r)
-	}
-}
-
 // countLine counts one access against its source line. The common path is
 // one dense-slice increment; the first access of each operation records
 // its location, and the (never-expected) case of one operation observed at
@@ -246,34 +221,9 @@ func (p *Profiler) countLine(op int32, loc ir.Loc) {
 	p.lineCounts[i]++
 }
 
-// Load implements interp.Tracer.
-func (p *Profiler) Load(a interp.Access) {
-	p.countLine(a.Op, a.Loc)
-	p.route(rec{
-		addr: a.Addr,
-		info: packInfo(a.Loc, int32(a.Var.ID), a.Thread),
-		ts:   a.TS,
-		op:   a.Op,
-		ctx:  p.cur[a.Thread],
-		kind: recLoad,
-	})
-}
-
-// Store implements interp.Tracer.
-func (p *Profiler) Store(a interp.Access) {
-	p.countLine(a.Op, a.Loc)
-	p.route(rec{
-		addr: a.Addr,
-		info: packInfo(a.Loc, int32(a.Var.ID), a.Thread),
-		ts:   a.TS,
-		op:   a.Op,
-		ctx:  p.cur[a.Thread],
-		kind: recStore,
-	})
-}
-
-// EnterRegion implements interp.Tracer.
-func (p *Profiler) EnterRegion(r *ir.Region, tid int32) {
+// enterRegion counts a region entry and, for a loop, saves the thread's
+// context so exitRegion can restore it.
+func (p *Profiler) enterRegion(r *ir.Region, tid int32) {
 	re := p.regions[r.ID]
 	if re == nil {
 		re = &RegionExec{Region: r}
@@ -285,9 +235,9 @@ func (p *Profiler) EnterRegion(r *ir.Region, tid int32) {
 	}
 }
 
-// LoopIter implements interp.Tracer: it advances the thread's loop context
-// to a fresh (region, iteration) node.
-func (p *Profiler) LoopIter(r *ir.Region, iter int64, tid int32) {
+// loopIter advances the thread's loop context to a fresh (region,
+// iteration) node.
+func (p *Profiler) loopIter(r *ir.Region, iter int64, tid int32) {
 	ls := p.loopStack[tid]
 	parent := int32(-1)
 	if len(ls) > 0 {
@@ -296,8 +246,7 @@ func (p *Profiler) LoopIter(r *ir.Region, iter int64, tid int32) {
 	p.cur[tid] = p.tab.add(parent, int32(r.ID), iter)
 }
 
-// ExitRegion implements interp.Tracer.
-func (p *Profiler) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
+func (p *Profiler) exitRegion(r *ir.Region, iters, instrs int64, tid int32) {
 	re := p.regions[r.ID]
 	re.Iters += iters
 	re.Instrs += instrs
@@ -308,14 +257,9 @@ func (p *Profiler) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
 	}
 }
 
-// EnterFunc implements interp.Tracer.
-func (p *Profiler) EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
-	p.depth[tid]++
-}
-
-// ExitFunc implements interp.Tracer: per-function inclusive instruction
-// counts feed the instruction-coverage ranking metric.
-func (p *Profiler) ExitFunc(f *ir.Func, instrs int64, tid int32) {
+// exitFunc accumulates per-function inclusive instruction counts, which
+// feed the instruction-coverage ranking metric.
+func (p *Profiler) exitFunc(f *ir.Func, instrs int64, tid int32) {
 	p.funcs[f] += instrs
 	p.depth[tid]--
 	if p.depth[tid] == 0 {
@@ -323,47 +267,14 @@ func (p *Profiler) ExitFunc(f *ir.Func, instrs int64, tid int32) {
 	}
 }
 
-// FreeVar implements interp.Tracer: the variable lifetime analysis of
-// Section 2.3.5. Dead addresses are removed from the signatures so their
-// slots can be reused without building false dependences.
-func (p *Profiler) FreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	for i := 0; i < elems; i++ {
-		p.route(rec{addr: base + uint64(i), kind: recRemove})
-	}
-}
-
-// Lock implements interp.Tracer. In MT mode the event stream is flushed so
-// that accesses ordered by the lock are recorded in order (Figure 2.4c).
-func (p *Profiler) Lock(id int, tid int32) {
-	if p.mtp != nil {
-		p.mtp.barrier()
-	}
-}
-
-// Unlock implements interp.Tracer.
-func (p *Profiler) Unlock(id int, tid int32) {
-	if p.mtp != nil {
-		p.mtp.barrier()
-	}
-}
-
-// ThreadEnd implements interp.Tracer.
-func (p *Profiler) ThreadEnd(tid int32) {
-	if p.mtp != nil {
-		p.mtp.barrier()
-	}
-}
-
-// ProcessBatch implements interp.BatchTracer: one pass over a flushed event
+// ProcessBatch implements interp.Tracer: one pass over a flushed event
 // chunk. Access records take the packed sink word verbatim from the event
 // (the VM's compile-time operand tables built it already), so the per-access
-// path is a couple of dense-slice updates plus the engine's own work — the
-// packInfo assembly and all per-event interface dispatch are gone. In serial
-// mode each access is handed straight to the devirtualized engine from a
-// stack record; pipeline modes accumulate records into recbuf and route them
-// as whole chunks. Bookkeeping (contexts, region metrics, line counters, MT
-// barriers) is updated inline in stream order, so the results are
-// bit-identical to the per-event path.
+// path is a couple of dense-slice updates plus the engine's own work. In
+// serial mode each access is handed straight to the devirtualized engine
+// from a stack record; pipeline modes accumulate records into recbuf and
+// route them as whole chunks. Bookkeeping (contexts, region metrics, line
+// counters, MT barriers) is updated inline in stream order.
 func (p *Profiler) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 	switch {
 	case p.engP != nil:
@@ -382,8 +293,8 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 	for i := range evs {
 		ev := &evs[i]
 		// The kind and thread ride in Sink's low 16 bits; the engine takes
-		// the word with the kind byte cleared, which is exactly the packInfo
-		// value the per-access path would have assembled.
+		// the word with the kind byte cleared, which is exactly the packed
+		// sink identity of the access.
 		switch kind := uint8(ev.Sink); kind {
 		case interp.EvLoad:
 			p.accesses++
@@ -410,8 +321,9 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 				e.store(&r)
 			}
 		case interp.EvFreeVar:
-			// The per-event path routes each removed element through route(),
-			// which counts it in accesses; keep that observable tally.
+			// Variable lifetime analysis (Section 2.3.5): dead addresses
+			// leave the stores so their slots can be reused without building
+			// false dependences. Each removed element counts as an access.
 			p.accesses += int64(ev.B)
 			for j := int32(0); j < ev.B; j++ {
 				e.rd().Remove(ev.Addr + uint64(j))
@@ -441,7 +353,7 @@ func (p *Profiler) batchPipe(m *ir.Module, evs []interp.Ev) {
 			rb = append(rb, rec{addr: ev.Addr, info: ev.Sink &^ 0xFF, ts: p.ts,
 				op: ev.A, ctx: p.cur[ev.Sink>>8&0xFF], kind: k})
 		case interp.EvFreeVar:
-			p.accesses += int64(ev.B) // route() counts removes; see batchSerial
+			p.accesses += int64(ev.B) // removes count as accesses; see batchSerial
 			for j := int32(0); j < ev.B; j++ {
 				rb = append(rb, rec{addr: ev.Addr + uint64(j), kind: recRemove})
 			}
@@ -465,15 +377,15 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 	tid := ev.Tid()
 	switch ev.Kind() {
 	case interp.EvEnterRegion:
-		p.EnterRegion(m.Regions[ev.A], tid)
+		p.enterRegion(m.Regions[ev.A], tid)
 	case interp.EvExitRegion:
-		p.ExitRegion(m.Regions[ev.A], int64(ev.Addr), interp.UnpackI64(ev.Loc), tid)
+		p.exitRegion(m.Regions[ev.A], int64(ev.Addr), interp.UnpackI64(ev.Loc), tid)
 	case interp.EvLoopIter:
-		p.LoopIter(m.Regions[ev.A], int64(ev.Addr), tid)
+		p.loopIter(m.Regions[ev.A], int64(ev.Addr), tid)
 	case interp.EvEnterFunc:
 		p.depth[tid]++
 	case interp.EvExitFunc:
-		p.ExitFunc(m.Funcs[ev.A], int64(ev.Addr), tid)
+		p.exitFunc(m.Funcs[ev.A], int64(ev.Addr), tid)
 	}
 }
 
@@ -584,11 +496,7 @@ func Profile(m *ir.Module, opt Options) *Result {
 	if opt.TreeWalk {
 		iopts = append(iopts, interp.WithTreeWalk())
 	}
-	var tr interp.Tracer = p
-	if opt.PerAccess {
-		tr = interp.PerEvent(p)
-	}
-	in := interp.New(m, tr, iopts...)
+	in := interp.New(m, p, iopts...)
 	defer in.Release()
 	in.Run()
 	return p.Result()

@@ -4,11 +4,17 @@ import (
 	"strings"
 	"testing"
 
+	"discopop/internal/bytecode"
 	"discopop/internal/interp"
 	"discopop/internal/ir"
 	"discopop/internal/sig"
 	"discopop/internal/workloads"
 )
+
+// packInfo packs an access's sink identity the way events deliver it.
+func packInfo(loc ir.Loc, varID int32, thread int32) uint64 {
+	return bytecode.PackSink(loc, varID) | bytecode.SinkThread(thread)
+}
 
 // TestLifetimeAnalysisPreventsFalseDeps: two functions called in sequence
 // reuse the same stack addresses for their locals; without variable

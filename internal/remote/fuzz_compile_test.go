@@ -12,36 +12,61 @@ import (
 )
 
 // engineOutcome captures everything one engine run exposes to a caller:
-// the return value and counters on success, or the panic message.
+// the event stream delivered to the tracer, the return value and counters
+// on success, or the panic message.
 type engineOutcome struct {
 	panicked bool
 	msg      string
+	evs      []interp.Ev
 	ret      int64
 	instrs   int64
 	loads    int64
 	stores   int64
 }
 
+// evRecorder keeps the whole event stream, copying each chunk (the
+// interpreter reuses its buffer).
+type evRecorder struct{ evs []interp.Ev }
+
+func (r *evRecorder) ProcessBatch(_ *ir.Module, evs []interp.Ev) { r.evs = append(r.evs, evs...) }
+
 func runBudgeted(m *ir.Module, opts ...interp.Option) (out engineOutcome) {
 	opts = append(opts, interp.WithMaxInstrs(1<<16))
-	it := interp.New(m, nil, opts...)
+	rec := &evRecorder{}
+	it := interp.New(m, rec, opts...)
 	defer func() {
 		if r := recover(); r != nil {
 			out.panicked = true
 			out.msg = fmt.Sprint(r)
 		}
+		out.evs = rec.evs
 		out.instrs, out.loads, out.stores = it.Instrs, it.Loads, it.Stores
 	}()
 	out.ret = it.Run()
 	return
 }
 
+// firstDiff returns the index of the first event where two streams differ
+// (the shorter length if one is a prefix of the other), or -1 if they are
+// identical.
+func firstDiff(a, b []interp.Ev) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
 // FuzzCompile drives the bytecode compiler and VM with every module the
 // wire decoder accepts, and holds the VM to the tree walker's observable
-// behavior: same return value, same instruction/load/store counters, and
-// — when an input misbehaves — a panic in one engine iff the other
-// panics too, with identical messages for the interpreter's own
-// diagnostics. Runs are capped by the instruction budget so adversarial
+// behavior: the same Ev stream, same return value, same
+// instruction/load/store counters, and — when an input misbehaves — a
+// panic in one engine iff the other panics too, with identical messages
+// and identical pre-fault streams for the interpreter's own diagnostics. Runs are capped by the instruction budget so adversarial
 // infinite loops terminate. The seed corpus mirrors FuzzDecode's
 // (testdata/fuzz/FuzzCompile): encoded bundled workloads covering every
 // statement tag, including multi-threaded ones.
@@ -88,7 +113,17 @@ func FuzzCompile(f *testing.F) {
 			if wi != vi || (wi && walk.msg != vm.msg) {
 				t.Fatalf("panic message divergence:\n  walker: %s\n  vm:     %s", walk.msg, vm.msg)
 			}
+			// A runtime error flushes the buffer before it propagates, so
+			// both engines delivered the complete pre-fault stream.
+			if i := firstDiff(walk.evs, vm.evs); wi && i >= 0 {
+				t.Fatalf("pre-fault event streams diverge at event %d (walker %d events, vm %d)",
+					i, len(walk.evs), len(vm.evs))
+			}
 			return
+		}
+		if i := firstDiff(walk.evs, vm.evs); i >= 0 {
+			t.Fatalf("event streams diverge at event %d (walker %d events, vm %d)",
+				i, len(walk.evs), len(vm.evs))
 		}
 		if walk.ret != vm.ret || walk.instrs != vm.instrs ||
 			walk.loads != vm.loads || walk.stores != vm.stores {

@@ -18,7 +18,9 @@ import (
 // of perIter work each on p workers, with a per-task scheduling overhead
 // fraction (relative to perIter work, e.g. 0.02 for 2%).
 func DOALLSpeedup(iters int64, perIter float64, p int, overhead float64) float64 {
-	if iters == 0 || perIter == 0 || p <= 1 {
+	// A loop with at most one iteration or one worker has no parallelism
+	// to exploit: it runs sequentially, without task overhead.
+	if iters <= 1 || perIter == 0 || p <= 1 {
 		return 1
 	}
 	seq := float64(iters) * perIter

@@ -49,6 +49,11 @@ func TestDOALLSpeedupFewIterations(t *testing.T) {
 	if sp > 3+1e-9 {
 		t.Fatalf("3 iterations speedup %f exceeds iteration bound", sp)
 	}
+	// One iteration has no parallelism: no speedup, and no task overhead
+	// reported as a slowdown either.
+	if sp := DOALLSpeedup(1, 1, 8, 0.02); sp != 1 {
+		t.Fatalf("1 iteration on 8 workers = %f, want 1", sp)
+	}
 }
 
 func TestAmdahl(t *testing.T) {

@@ -143,13 +143,14 @@ func TestMTWorkloadsSpawnThreads(t *testing.T) {
 }
 
 type threadCounter struct {
-	interp.BaseTracer
 	started int
 }
 
-func (tc *threadCounter) ThreadStart(tid, parent int32) {
-	if parent >= 0 {
-		tc.started++
+func (tc *threadCounter) ProcessBatch(_ *ir.Module, evs []interp.Ev) {
+	for i := range evs {
+		if evs[i].Kind() == interp.EvThreadStart && evs[i].B >= 0 {
+			tc.started++
+		}
 	}
 }
 

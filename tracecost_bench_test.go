@@ -4,34 +4,17 @@ import (
 	"testing"
 
 	"discopop/internal/interp"
-	"discopop/internal/ir"
 	"discopop/internal/workloads"
 )
 
-// Null-consumer probes: tracers that swallow events without doing any
-// profiling work, isolating the pure event-delivery cost of the batched
-// path against the per-event interface path. The gap between these two
-// numbers is the ceiling on what batching can buy any consumer; the gap
-// between either and BenchmarkInterpNative is that path's delivery cost.
-
-type nullBatch struct{ interp.BaseTracer }
-
-func (nullBatch) ProcessBatch(m *ir.Module, evs []interp.Ev) {}
-
-type nullPer struct{ interp.BaseTracer }
-
+// BenchmarkTraceDeliveryBatch is the null-consumer probe: a tracer that
+// swallows every chunk without profiling work, isolating the cost of
+// emitting and delivering the event stream. The gap between it and
+// BenchmarkInterpNative is the delivery cost on top of execution.
 func BenchmarkTraceDeliveryBatch(b *testing.B) {
 	prog := workloads.MustBuild("CG", benchScale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		interp.New(prog.M, &nullBatch{}).Run()
-	}
-}
-
-func BenchmarkTraceDeliveryPerEvent(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		interp.New(prog.M, &nullPer{}).Run()
+		interp.New(prog.M, interp.BaseTracer{}).Run()
 	}
 }
