@@ -65,8 +65,7 @@ type Interp struct {
 	// tracer in chunks. Allocated only for traced runs.
 	evs []Ev
 
-	prog      *bytecode.Program // nil under WithTreeWalk
-	pairStats *bytecode.PairStats
+	prog *bytecode.Program // nil under WithTreeWalk
 
 	// Stats
 	Instrs  int64 // total leaf statements executed
@@ -135,7 +134,6 @@ func New(m *ir.Module, t Tracer, opts ...Option) *Interp {
 		if it.prog.GlobalsEnd != next {
 			panic("interp: compiled program does not match the module's global layout")
 		}
-		it.pairStats = cfg.pairStats
 	}
 	if t != nil {
 		it.evs = make([]Ev, 0, evBatchSize)

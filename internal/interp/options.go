@@ -14,7 +14,6 @@ type config struct {
 	maxInstrs int64
 	treeWalk  bool
 	prog      *bytecode.Program
-	pairStats *bytecode.PairStats
 }
 
 // WithSpace runs the interpreter on a recycled address space instead of
@@ -57,12 +56,4 @@ func WithTreeWalk() Option {
 // module with the same global layout; New panics on a mismatch.
 func WithProgram(p *bytecode.Program) Option {
 	return func(c *config) { c.prog = p }
-}
-
-// WithPairStats records dynamic opcode-pair frequencies into s while the
-// VM runs (the measurement behind superinstruction selection; see
-// DESIGN.md). It costs a few percent of dispatch throughput, so it is a
-// profiling-only option.
-func WithPairStats(s *bytecode.PairStats) Option {
-	return func(c *config) { c.pairStats = s }
 }

@@ -106,38 +106,6 @@ func TestEngineCountsCacheHits(t *testing.T) {
 	}
 }
 
-// TestFleetDepsStreamsJobDeps: with CollectFleetDeps on, the engine's
-// sharded accumulator holds the sum of every job's dependences.
-func TestFleetDepsStreamsJobDeps(t *testing.T) {
-	names := []string{"histogram", "kmeans", "EP"}
-	jobs := make([]Job, len(names))
-	for i, name := range names {
-		jobs[i] = Job{Name: name, Mod: workloads.MustBuild(name, 1).M}
-	}
-	e := NewEngineWith(New(), Options{CollectFleetDeps: true})
-	go func() {
-		for _, j := range jobs {
-			e.Submit(j)
-		}
-		e.Close()
-	}()
-	want := map[profiler.Dep]int64{}
-	for r := range e.Results() {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		for d, n := range r.Report.Profile.Deps {
-			want[d] += n
-		}
-	}
-	if got := e.FleetDeps(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("fleet deps diverge: %d vs %d entries", len(got), len(want))
-	}
-	if stats := e.Stats(); stats.DistinctDeps != len(want) {
-		t.Fatalf("FleetStats.DistinctDeps = %d, want %d", stats.DistinctDeps, len(want))
-	}
-}
-
 // TestProfileCacheLRUEviction: beyond the entry cap the least recently
 // used key is dropped (and counted), while recently touched keys survive.
 func TestProfileCacheLRUEviction(t *testing.T) {

@@ -11,7 +11,6 @@ import (
 	"discopop/internal/ir"
 	"discopop/internal/mem"
 	"discopop/internal/obs"
-	"discopop/internal/profiler"
 )
 
 // Job is one unit of batch work: a module to analyze, identified by name.
@@ -85,9 +84,6 @@ type FleetStats struct {
 	// dropped under their LRU bound (summed over the distinct caches the
 	// engine has seen).
 	CacheEvictions int64
-	// DistinctDeps is the number of distinct dependences in the fleet-level
-	// sharded accumulator (0 unless Options.CollectFleetDeps is set).
-	DistinctDeps int
 	// CompileHits counts jobs whose instrumented execution found its
 	// bytecode program already in the shared compile cache.
 	CompileHits int
@@ -145,11 +141,6 @@ type Engine struct {
 	// evictions attributable to this engine rather than a shared cache's
 	// lifetime total.
 	caches map[*ProfileCache]int64
-
-	// fleetDeps accumulates every completed job's dependences, sharded by
-	// sink location so concurrent workers stream their merges instead of
-	// serializing on one map (nil unless Options.CollectFleetDeps).
-	fleetDeps *profiler.DepShards
 }
 
 // NewEngine starts an engine running the default five-stage pipeline with
@@ -184,9 +175,6 @@ func NewEngineWith(pl *Pipeline, opt Options) *Engine {
 		pipeline: pl,
 		jobs:     make(chan Job, workers),
 		results:  make(chan *JobResult, workers),
-	}
-	if opt.CollectFleetDeps {
-		e.fleetDeps = profiler.NewDepShards(0)
 	}
 	e.stats.StageTime = map[string]time.Duration{}
 	e.caches = map[*ProfileCache]int64{}
@@ -250,21 +238,8 @@ func (e *Engine) Stats() FleetStats {
 	}
 	e.mu.Unlock()
 	s.Submitted = int(e.submitted.Load())
-	if e.fleetDeps != nil {
-		s.DistinctDeps = e.fleetDeps.Distinct()
-	}
 	s.Pool = mem.Default.Stats()
 	return s
-}
-
-// FleetDeps materializes the fleet-level dependence accumulator (nil when
-// Options.CollectFleetDeps is off). Counts are summed across all completed
-// jobs.
-func (e *Engine) FleetDeps() map[profiler.Dep]int64 {
-	if e.fleetDeps == nil {
-		return nil
-	}
-	return e.fleetDeps.Snapshot()
 }
 
 func (e *Engine) run() {
@@ -320,13 +295,8 @@ func (e *Engine) runJob(j Job) (res *JobResult) {
 	return res
 }
 
-// record folds one finished job into the fleet stats. The dependence merge
-// happens before the stats lock is taken: it contends only on the sink
-// shard being written, so concurrent workers stream their merges.
+// record folds one finished job into the fleet stats.
 func (e *Engine) record(res *JobResult, ctx *Context) {
-	if e.fleetDeps != nil && ctx != nil && ctx.Profile != nil {
-		e.fleetDeps.Merge(ctx.Profile.Deps)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.Jobs++

@@ -60,10 +60,6 @@ type Options struct {
 	// CacheKey identifies the module for cache lookups (e.g. "CG@1").
 	// Empty disables caching for the job.
 	CacheKey string
-	// CollectFleetDeps makes the Engine stream every completed job's
-	// dependence map into a fleet-level sharded accumulator, available
-	// through Engine.FleetDeps and counted in FleetStats.DistinctDeps.
-	CollectFleetDeps bool
 	// MaxInstrs aborts the instrumented execution (as a job error) after
 	// this many leaf statements. 0 = unbounded. Servers set it for
 	// untrusted submissions so a tiny module with an effectively infinite

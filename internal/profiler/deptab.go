@@ -51,33 +51,8 @@ func locFromBits(b uint64) ir.Loc {
 	return ir.Loc{File: int32(b >> 22 & 0x3FF), Line: int32(b & 0x3FFFFF)}
 }
 
-// packDep packs a dependence into its 128-bit identity. Fields beyond the
-// packed widths are truncated exactly as bytecode.PackSink truncates them on
-// the access path.
-func packDep(d Dep) (hi, lo uint64) {
-	hi = locBits(d.Sink) << 32
-	lo = uint64(d.Type) << depTypeShift
-	if d.Type == INIT {
-		return hi, lo
-	}
-	hi |= locBits(d.Source)
-	lo |= (uint64(uint32(d.Var)) & 0xFFFF) << depVarShift
-	if d.SinkThr >= 0 || d.SrcThr >= 0 {
-		lo |= depHasThrBit |
-			uint64(uint8(d.SinkThr))<<depSinkThrShift |
-			uint64(uint8(d.SrcThr))<<depSrcThrShift
-	}
-	if d.Carried {
-		lo |= depCarriedBit | uint64(uint32(d.CarriedBy+1))&depCarryMask
-	}
-	if d.Reversed {
-		lo |= depReversedBit
-	}
-	return hi, lo
-}
-
-// unpackDep is the inverse of packDep, reconstructing the canonical Dep the
-// seed implementation would have built in engine.addDep.
+// unpackDep is the inverse of engine.addDep's packing, reconstructing the
+// canonical Dep.
 func unpackDep(hi, lo uint64) Dep {
 	d := Dep{
 		Sink:    locFromBits(hi >> 32),
@@ -259,94 +234,5 @@ func mergeDepTables(tables []*depTable) map[Dep]int64 {
 			out[d] = n
 		}
 	}
-	return out
-}
-
-// DepShards is a concurrency-safe dependence accumulator sharded by sink
-// location: concurrent producers (e.g. batch-engine workers folding
-// finished jobs into fleet-level statistics) lock only the shard their
-// dependence hashes to, so merges stream instead of serializing on one
-// map. The zero value is not usable; construct with NewDepShards.
-type DepShards struct {
-	shards []depShard
-
-	// zero catches dependences whose packed key would collide with the
-	// empty-cell sentinel (sink location all zero — never produced by the
-	// profiler, but Merge accepts arbitrary maps).
-	zeroMu sync.Mutex
-	zero   map[Dep]int64
-}
-
-type depShard struct {
-	mu  sync.Mutex
-	tab depTable
-	// pad keeps neighboring shards off one cache line under contention.
-	_ [24]byte
-}
-
-// NewDepShards returns an accumulator with n shards (a small power of two
-// is picked when n <= 0).
-func NewDepShards(n int) *DepShards {
-	if n <= 0 {
-		n = 16
-	}
-	s := &DepShards{shards: make([]depShard, n)}
-	for i := range s.shards {
-		s.shards[i].tab = newDepTable()
-	}
-	return s
-}
-
-// Merge folds one result's dependence map into the accumulator.
-func (s *DepShards) Merge(deps map[Dep]int64) {
-	for d, n := range deps {
-		hi, lo := packDep(d)
-		if hi == 0 {
-			s.zeroMu.Lock()
-			if s.zero == nil {
-				s.zero = map[Dep]int64{}
-			}
-			s.zero[d] += n
-			s.zeroMu.Unlock()
-			continue
-		}
-		sh := &s.shards[depShardOf(hi, len(s.shards))]
-		sh.mu.Lock()
-		sh.tab.add(hi, lo, n)
-		sh.mu.Unlock()
-	}
-}
-
-// Distinct returns the number of distinct dependences accumulated.
-func (s *DepShards) Distinct() int {
-	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		total += sh.tab.n
-		sh.mu.Unlock()
-	}
-	s.zeroMu.Lock()
-	total += len(s.zero)
-	s.zeroMu.Unlock()
-	return total
-}
-
-// Snapshot materializes the accumulated dependences into one map.
-func (s *DepShards) Snapshot() map[Dep]int64 {
-	out := make(map[Dep]int64, s.Distinct())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.tab.each(func(hi, lo uint64, n int64) {
-			out[unpackDep(hi, lo)] += n
-		})
-		sh.mu.Unlock()
-	}
-	s.zeroMu.Lock()
-	for d, n := range s.zero {
-		out[d] += n
-	}
-	s.zeroMu.Unlock()
 	return out
 }

@@ -3,11 +3,36 @@ package profiler
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"discopop/internal/ir"
 )
+
+// packDep packs a dependence into its 128-bit identity, the reference
+// encoder engine.addDep must agree with. Fields beyond the
+// packed widths are truncated exactly as bytecode.PackSink truncates them on
+// the access path.
+func packDep(d Dep) (hi, lo uint64) {
+	hi = locBits(d.Sink) << 32
+	lo = uint64(d.Type) << depTypeShift
+	if d.Type == INIT {
+		return hi, lo
+	}
+	hi |= locBits(d.Source)
+	lo |= (uint64(uint32(d.Var)) & 0xFFFF) << depVarShift
+	if d.SinkThr >= 0 || d.SrcThr >= 0 {
+		lo |= depHasThrBit |
+			uint64(uint8(d.SinkThr))<<depSinkThrShift |
+			uint64(uint8(d.SrcThr))<<depSrcThrShift
+	}
+	if d.Carried {
+		lo |= depCarriedBit | uint64(uint32(d.CarriedBy+1))&depCarryMask
+	}
+	if d.Reversed {
+		lo |= depReversedBit
+	}
+	return hi, lo
+}
 
 // randomDep draws a dependence within the packed field widths: 10-bit
 // file (>= 1), 22-bit line, 16-bit variable, 8-bit thread, 22-bit carrying
@@ -142,42 +167,6 @@ func TestMergeDepTablesShardedMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDepShardsConcurrentMerge streams many dependence maps into the
-// sharded fleet accumulator from concurrent goroutines (the batch-engine
-// pattern) and checks the combined snapshot.
-func TestDepShardsConcurrentMerge(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	const producers = 8
-	jobs := make([]map[Dep]int64, producers)
-	want := map[Dep]int64{}
-	for p := range jobs {
-		jobs[p] = map[Dep]int64{}
-		for i := 0; i < 500; i++ {
-			d := randomDep(rng)
-			jobs[p][d] += int64(i%5 + 1)
-		}
-		for d, n := range jobs[p] {
-			want[d] += n
-		}
-	}
-	shards := NewDepShards(0)
-	var wg sync.WaitGroup
-	for p := range jobs {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			shards.Merge(jobs[p])
-		}(p)
-	}
-	wg.Wait()
-	if got := shards.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("concurrent sharded merge diverges: %d vs %d entries", len(got), len(want))
-	}
-	if shards.Distinct() != len(want) {
-		t.Fatalf("Distinct = %d, want %d", shards.Distinct(), len(want))
-	}
-}
-
 // TestPackInfoWidths pins the access-info packing: 10-bit file, 22-bit
 // line, 16-bit variable, 8-bit thread, and the non-zero guarantee the
 // empty-entry sentinel relies on.
@@ -195,21 +184,5 @@ func TestPackInfoWidths(t *testing.T) {
 	}
 	if packInfo(ir.Loc{File: 1}, 0, 0) == 0 {
 		t.Error("packInfo with file=1 must be non-zero (empty-entry sentinel)")
-	}
-}
-
-// TestDepShardsZeroLocationDep: a dependence whose packed sink/source is
-// all zero (never produced by the profiler, but accepted by the public
-// Merge) must survive Snapshot and be counted consistently.
-func TestDepShardsZeroLocationDep(t *testing.T) {
-	s := NewDepShards(2)
-	d := Dep{Type: INIT, Var: -1, SinkThr: -1, SrcThr: -1, CarriedBy: -1}
-	s.Merge(map[Dep]int64{d: 5})
-	if s.Distinct() != 1 {
-		t.Fatalf("Distinct = %d, want 1", s.Distinct())
-	}
-	snap := s.Snapshot()
-	if snap[d] != 5 {
-		t.Fatalf("Snapshot[%+v] = %d, want 5", d, snap[d])
 	}
 }

@@ -28,7 +28,8 @@ const (
 	recMigIn  // redistribution: install migrated status of addr
 )
 
-// rec is one access record as buffered in chunks and queues.
+// rec is one access record as the worker pipes transport it in chunks and
+// queues; engine.process unpacks it into the scalar load/store calls.
 type rec struct {
 	addr uint64
 	info uint64 // packed sink location/variable/thread
@@ -195,88 +196,25 @@ func (e *engine[S, PS]) dump() engineDump {
 // inspection).
 func (e *engine[S, PS]) depsMap() map[Dep]int64 { return e.deps.materialize() }
 
-func (e *engine[S, PS]) opIdx(op int32) int32 { return e.lay.index(op) }
-
-func (e *engine[S, PS]) entry(r *rec) sig.Entry {
-	return sig.Entry{Info: r.info, Ctx: r.ctx, Op: r.op, TS: r.ts}
-}
-
-// addDep builds and merges one dependence with sink taken from r and
-// source from the signature entry src. The dependence's variable is the
-// one accessed at the sink: the sink access knows its variable exactly,
-// whereas the source's identity comes from the (possibly aliased)
-// signature slot — attributing the variable from the sink is what keeps
-// signature false positives bounded by line-pair combinations rather than
-// by colliding address pairs (compare Figure 2.1: "1:65 NOM {WAR
-// 1:67|temp2}" names temp2, the variable written at the 1:65 sink).
+// addDep builds and merges one dependence with the sink identity (info,
+// ctx, ts) of the current access and source from the signature entry src.
+// The dependence's variable is the one accessed at the sink: the sink
+// access knows its variable exactly, whereas the source's identity comes
+// from the (possibly aliased) signature slot — attributing the variable
+// from the sink is what keeps signature false positives bounded by
+// line-pair combinations rather than by colliding address pairs (compare
+// Figure 2.1: "1:65 NOM {WAR 1:67|temp2}" names temp2, the variable
+// written at the 1:65 sink).
 //
 // The dependence identity is assembled directly from the packed access
 // info words — the sink/source location halves are single shifts of
-// r.info/src.Info — and merged into the packed accumulator; no Dep struct
+// info/src.Info — and merged into the packed accumulator; no Dep struct
 // or map insert exists on this path.
-func (e *engine[S, PS]) addDep(t DepType, r *rec, src sig.Entry) {
-	hi := r.info &^ 0xFFFFFFFF // sink file|line in the upper half
+func (e *engine[S, PS]) addDep(t DepType, info uint64, ctx int32, ts uint64, src sig.Entry) {
+	hi := info &^ 0xFFFFFFFF // sink file|line in the upper half
 	lo := uint64(t) << depTypeShift
 	if t != INIT {
 		hi |= src.Info >> 32 // source file|line in the lower half
-		lo |= (r.info >> 16 & 0xFFFF) << depVarShift
-		if e.mt {
-			lo |= depHasThrBit |
-				(r.info>>8&0xFF)<<depSinkThrShift |
-				(src.Info>>8&0xFF)<<depSrcThrShift
-		}
-		if carriedRegion, carried := e.carried(r.ctx, src.Ctx); carried {
-			lo |= depCarriedBit | uint64(uint32(carriedRegion+1))&depCarryMask
-		}
-		if r.ts < src.TS {
-			// The sink was observed before its source: the accesses were
-			// not mutually exclusive — a potential data race (§2.3.4).
-			lo |= depReversedBit
-		}
-	}
-	e.deps.add(hi, lo, 1)
-}
-
-// loadAcc is the scalar no-skip fast path of load: the access identity
-// arrives in registers instead of through a rec, so the batched serial
-// consumer pays no record round trip. Callers must ensure e.ops == nil
-// (skip disabled); with skip state the rec-based load is required.
-func (e *engine[S, PS]) loadAcc(addr, info, ts uint64, op, ctx int32) {
-	e.stats.Reads++
-	we := e.wr().Get(addr)
-	if !we.Empty() {
-		e.stats.DepReads++
-		e.addDepAcc(RAW, info, ctx, ts, we)
-	}
-	e.rd().Put(addr, sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts})
-}
-
-// storeAcc is the scalar no-skip fast path of store (see loadAcc).
-func (e *engine[S, PS]) storeAcc(addr, info, ts uint64, op, ctx int32) {
-	e.stats.Writes++
-	re := e.rd().Get(addr)
-	we := e.wr().GetSet(addr, sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts})
-	if we.Empty() {
-		e.addDepAcc(INIT, info, ctx, ts, we)
-		return
-	}
-	wouldWAR := !re.Empty()
-	wouldWAW := re.Empty() || re.TS < we.TS
-	e.stats.DepWrites++
-	if wouldWAR {
-		e.addDepAcc(WAR, info, ctx, ts, re)
-	}
-	if wouldWAW {
-		e.addDepAcc(WAW, info, ctx, ts, we)
-	}
-}
-
-// addDepAcc is addDep with the sink identity in scalars (see loadAcc).
-func (e *engine[S, PS]) addDepAcc(t DepType, info uint64, ctx int32, ts uint64, src sig.Entry) {
-	hi := info &^ 0xFFFFFFFF
-	lo := uint64(t) << depTypeShift
-	if t != INIT {
-		hi |= src.Info >> 32
 		lo |= (info >> 16 & 0xFFFF) << depVarShift
 		if e.mt {
 			lo |= depHasThrBit |
@@ -287,28 +225,21 @@ func (e *engine[S, PS]) addDepAcc(t DepType, info uint64, ctx int32, ts uint64, 
 			lo |= depCarriedBit | uint64(uint32(carriedRegion+1))&depCarryMask
 		}
 		if ts < src.TS {
+			// The sink was observed before its source: the accesses were
+			// not mutually exclusive — a potential data race (§2.3.4).
 			lo |= depReversedBit
 		}
 	}
 	e.deps.add(hi, lo, 1)
 }
 
-// processBatch consumes one flushed chunk of access records in a tight
-// loop: one call into the engine per chunk instead of one per access, with
-// the signature pair and the dependence accumulator staying hot across
-// iterations.
-func (e *engine[S, PS]) processBatch(rs []rec) {
-	for i := range rs {
-		e.process(&rs[i])
-	}
-}
-
+// process applies one pipeline access record to the engine.
 func (e *engine[S, PS]) process(r *rec) {
 	switch r.kind {
 	case recLoad:
-		e.load(r)
+		e.load(r.addr, r.info, r.ts, r.op, r.ctx)
 	case recStore:
-		e.store(r)
+		e.store(r.addr, r.info, r.ts, r.op, r.ctx)
 	case recRemove:
 		e.rd().Remove(r.addr)
 		e.wr().Remove(r.addr)
@@ -328,55 +259,52 @@ func (e *engine[S, PS]) process(r *rec) {
 	}
 }
 
-// load implements the read half of Algorithm 2 plus the skip conditions of
-// Section 2.4: a read is skipped iff its operation's lastAddr matches and
-// the shadow statusRead/statusWrite equal the operation's remembered
-// lastStatusRead/lastStatusWrite.
-func (e *engine[S, PS]) load(r *rec) {
+// load implements the read half of Algorithm 2 for the access (addr, op)
+// with packed sink identity info, iteration context ctx and timestamp ts.
+// With skip state (e.ops != nil), skipRead may handle the read whole.
+func (e *engine[S, PS]) load(addr, info, ts uint64, op, ctx int32) {
 	e.stats.Reads++
-	we := e.wr().Get(r.addr)
-	wouldRAW := !we.Empty()
-	if wouldRAW {
+	we := e.wr().Get(addr)
+	cur := sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
+	if e.ops != nil && e.skipRead(addr, cur, we) {
+		return
+	}
+	if !we.Empty() {
 		e.stats.DepReads++
+		e.addDep(RAW, info, ctx, ts, we)
 	}
-	if e.ops == nil {
-		// No skip state: the read-status entry is consulted only by the
-		// skip conditions, so the rd-side Get is dead and the round trip
-		// collapses to the Put.
-		if wouldRAW {
-			e.addDep(RAW, r, we)
-		}
-		e.rd().Put(r.addr, e.entry(r))
-		return
+	e.rd().Put(addr, cur)
+}
+
+// skipRead applies the read skip conditions of Section 2.4 to the access
+// cur at addr, given the write status we. A read is skipped iff its
+// operation's lastAddr matches and the shadow statusRead/statusWrite equal
+// the operation's remembered lastStatusRead/lastStatusWrite; skipRead then
+// counts it, records it in the read status (unless that would re-record
+// the same operation in the same iteration context, §2.4.3) and reports
+// true. Otherwise it remembers the statuses just observed and reports
+// false, and load profiles the read. The rd-side Get happens only here:
+// without skip state the read status is never consulted.
+func (e *engine[S, PS]) skipRead(addr uint64, cur, we sig.Entry) bool {
+	re := e.rd().Get(addr)
+	st := &e.ops[e.lay.index(cur.Op)]
+	wc := e.carryRegion(cur.Ctx, we.Ctx, !we.Empty())
+	if st.lastAddr != addr || st.lastR != re.Op || st.lastW != we.Op || st.lastWCarry != wc {
+		st.lastAddr, st.lastR, st.lastW, st.lastWCarry = addr, re.Op, we.Op, wc
+		return false
 	}
-	re := e.rd().Get(r.addr)
-	st := &e.ops[e.opIdx(r.op)]
-	wc := e.carryRegion(r.ctx, we.Ctx, !we.Empty())
-	if st.lastAddr == r.addr && st.lastR == re.Op && st.lastW == we.Op &&
-		st.lastWCarry == wc {
-		e.stats.SkippedReads++
-		if wouldRAW {
-			e.stats.SkippedDepReads++
-			e.stats.WouldRAW++
-		}
-		if re.Op == r.op && re.Ctx == r.ctx {
-			// Special case (§2.4.3): the shadow update would be a
-			// no-op re-recording of the same operation in the same
-			// iteration context.
-			e.stats.ShadowSkips++
-			return
-		}
-		e.rd().Put(r.addr, e.entry(r))
-		return
+	e.stats.SkippedReads++
+	if !we.Empty() {
+		e.stats.DepReads++
+		e.stats.SkippedDepReads++
+		e.stats.WouldRAW++
 	}
-	st.lastAddr = r.addr
-	st.lastR = re.Op
-	st.lastW = we.Op
-	st.lastWCarry = wc
-	if wouldRAW {
-		e.addDep(RAW, r, we)
+	if re.Op == cur.Op && re.Ctx == cur.Ctx {
+		e.stats.ShadowSkips++
+	} else {
+		e.rd().Put(addr, cur)
 	}
-	e.rd().Put(r.addr, e.entry(r))
+	return true
 }
 
 // carryRegion returns the carrying-loop region of a would-be dependence
@@ -395,75 +323,65 @@ func (e *engine[S, PS]) carryRegion(cur, src int32, present bool) int32 {
 
 // store implements the write half of Algorithm 2. Following the evaluation
 // setup (Section 2.5.2), a WAW dependence is built only for consecutive
-// writes to the same address, i.e. when no read intervened.
-func (e *engine[S, PS]) store(r *rec) {
+// writes to the same address, i.e. when no read intervened. Without skip
+// state the old write status is read and immediately overwritten, so
+// Get+Put fuse into one probe sequence; with it, skipWrite records the
+// write and may handle it whole.
+func (e *engine[S, PS]) store(addr, info, ts uint64, op, ctx int32) {
 	e.stats.Writes++
-	re := e.rd().Get(r.addr)
+	re := e.rd().Get(addr)
+	cur := sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
+	var we sig.Entry
 	if e.ops == nil {
-		// No skip state: the old write status is read and immediately
-		// overwritten, so Get+Put fuse into one probe sequence.
-		we := e.wr().GetSet(r.addr, e.entry(r))
-		wouldWAR := !we.Empty() && !re.Empty()
-		wouldWAW := !we.Empty() && (re.Empty() || re.TS < we.TS)
-		if wouldWAR || wouldWAW {
-			e.stats.DepWrites++
-		}
-		if we.Empty() {
-			e.addDep(INIT, r, we)
-		} else {
-			if wouldWAR {
-				e.addDep(WAR, r, re)
-			}
-			if wouldWAW {
-				e.addDep(WAW, r, we)
-			}
-		}
+		we = e.wr().GetSet(addr, cur)
+	} else if we = e.wr().Get(addr); e.skipWrite(addr, cur, re, we) {
 		return
 	}
-	we := e.wr().Get(r.addr)
-	wouldWAR := !we.Empty() && !re.Empty()
-	wouldWAW := !we.Empty() && (re.Empty() || re.TS < we.TS)
-	if wouldWAR || wouldWAW {
-		e.stats.DepWrites++
+	if we.Empty() {
+		e.addDep(INIT, info, ctx, ts, we)
+		return
 	}
-	st := &e.ops[e.opIdx(r.op)]
-	rc := e.carryRegion(r.ctx, re.Ctx, !re.Empty())
-	wc := e.carryRegion(r.ctx, we.Ctx, !we.Empty())
+	e.stats.DepWrites++
+	if !re.Empty() {
+		e.addDep(WAR, info, ctx, ts, re)
+	}
+	if re.Empty() || re.TS < we.TS {
+		e.addDep(WAW, info, ctx, ts, we)
+	}
+}
+
+// skipWrite is skipRead's write counterpart: the operation's remembered
+// statuses, their loop-carry classification and their order must all
+// match for the write to be skipped. Unlike skipRead it also records a
+// profiled write in the write status, since store has no Put of its own
+// on the skip-state path.
+func (e *engine[S, PS]) skipWrite(addr uint64, cur, re, we sig.Entry) bool {
+	st := &e.ops[e.lay.index(cur.Op)]
+	rc := e.carryRegion(cur.Ctx, re.Ctx, !re.Empty())
+	wc := e.carryRegion(cur.Ctx, we.Ctx, !we.Empty())
 	order := re.TS < we.TS
-	if st.lastAddr == r.addr && st.lastR == re.Op && st.lastW == we.Op &&
-		st.lastRCarry == rc && st.lastWCarry == wc && st.lastOrder == order {
-		e.stats.SkippedWrite++
-		if wouldWAR || wouldWAW {
-			e.stats.SkippedDepWrite++
-		}
-		if wouldWAR {
+	if st.lastAddr != addr || st.lastR != re.Op || st.lastW != we.Op ||
+		st.lastRCarry != rc || st.lastWCarry != wc || st.lastOrder != order {
+		*st = opSkip{lastAddr: addr, lastR: re.Op, lastW: we.Op,
+			lastRCarry: rc, lastWCarry: wc, lastOrder: order}
+		e.wr().Put(addr, cur)
+		return false
+	}
+	e.stats.SkippedWrite++
+	if !we.Empty() {
+		e.stats.DepWrites++
+		e.stats.SkippedDepWrite++
+		if !re.Empty() {
 			e.stats.WouldWAR++
 		}
-		if wouldWAW {
+		if re.Empty() || order {
 			e.stats.WouldWAW++
 		}
-		if we.Op == r.op && we.Ctx == r.ctx {
-			e.stats.ShadowSkips++
-			return
-		}
-		e.wr().Put(r.addr, e.entry(r))
-		return
 	}
-	st.lastAddr = r.addr
-	st.lastR = re.Op
-	st.lastW = we.Op
-	st.lastRCarry = rc
-	st.lastWCarry = wc
-	st.lastOrder = order
-	if we.Empty() {
-		e.addDep(INIT, r, we)
+	if we.Op == cur.Op && we.Ctx == cur.Ctx {
+		e.stats.ShadowSkips++
 	} else {
-		if wouldWAR {
-			e.addDep(WAR, r, re)
-		}
-		if wouldWAW {
-			e.addDep(WAW, r, we)
-		}
+		e.wr().Put(addr, cur)
 	}
-	e.wr().Put(r.addr, e.entry(r))
+	return true
 }

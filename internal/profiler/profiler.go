@@ -272,9 +272,10 @@ func (p *Profiler) exitFunc(f *ir.Func, instrs int64, tid int32) {
 // (the VM's compile-time operand tables built it already), so the per-access
 // path is a couple of dense-slice updates plus the engine's own work. In
 // serial mode each access is handed straight to the devirtualized engine
-// from a stack record; pipeline modes accumulate records into recbuf and
-// route them as whole chunks. Bookkeeping (contexts, region metrics, line
-// counters, MT barriers) is updated inline in stream order.
+// as scalars; pipeline modes accumulate records into recbuf and route them
+// as whole chunks, which the workers unpack into the same engine calls.
+// Bookkeeping (contexts, region metrics, line counters, MT barriers) is
+// updated inline in stream order.
 func (p *Profiler) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 	switch {
 	case p.engP != nil:
@@ -294,32 +295,18 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 		ev := &evs[i]
 		// The kind and thread ride in Sink's low 16 bits; the engine takes
 		// the word with the kind byte cleared, which is exactly the packed
-		// sink identity of the access.
+		// sink identity of the access (EvLoad's kind byte is zero already).
 		switch kind := uint8(ev.Sink); kind {
 		case interp.EvLoad:
 			p.accesses++
 			p.ts++
 			p.countLine(ev.A, ev.Loc)
-			ctx := p.cur[ev.Sink>>8&0xFF]
-			if e.ops == nil {
-				e.loadAcc(ev.Addr, ev.Sink, p.ts, ev.A, ctx)
-			} else {
-				r := rec{addr: ev.Addr, info: ev.Sink, ts: p.ts,
-					op: ev.A, ctx: ctx, kind: recLoad}
-				e.load(&r)
-			}
+			e.load(ev.Addr, ev.Sink, p.ts, ev.A, p.cur[ev.Sink>>8&0xFF])
 		case interp.EvStore:
 			p.accesses++
 			p.ts++
 			p.countLine(ev.A, ev.Loc)
-			ctx := p.cur[ev.Sink>>8&0xFF]
-			if e.ops == nil {
-				e.storeAcc(ev.Addr, ev.Sink&^0xFF, p.ts, ev.A, ctx)
-			} else {
-				r := rec{addr: ev.Addr, info: ev.Sink &^ 0xFF, ts: p.ts,
-					op: ev.A, ctx: ctx, kind: recStore}
-				e.store(&r)
-			}
+			e.store(ev.Addr, ev.Sink&^0xFF, p.ts, ev.A, p.cur[ev.Sink>>8&0xFF])
 		case interp.EvFreeVar:
 			// Variable lifetime analysis (Section 2.3.5): dead addresses
 			// leave the stores so their slots can be reused without building
@@ -389,20 +376,15 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 	}
 }
 
-// flushRecs hands the accumulated access records to the active engine or
+// flushRecs hands the accumulated access records to the active worker
 // pipeline and returns the emptied buffer.
 func (p *Profiler) flushRecs(rb []rec) []rec {
 	if len(rb) == 0 {
 		return rb
 	}
-	switch {
-	case p.engP != nil:
-		p.engP.processBatch(rb)
-	case p.engS != nil:
-		p.engS.processBatch(rb)
-	case p.mtp != nil:
+	if p.mtp != nil {
 		p.mtp.produceBatch(rb)
-	default:
+	} else {
 		p.par.produceBatch(rb)
 	}
 	return rb[:0]

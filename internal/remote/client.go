@@ -34,7 +34,8 @@ type Spec struct {
 }
 
 // WireSuggestion is one ranked parallelization opportunity as it crosses
-// the wire — the JSON shape dp-serve renders in job results.
+// the wire: dp-serve renders job results with this type, and the client
+// decodes them back into it.
 type WireSuggestion struct {
 	Rank      int     `json:"rank"`
 	Kind      string  `json:"kind"`

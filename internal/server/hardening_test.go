@@ -224,6 +224,94 @@ func TestInstrQuotaDebt(t *testing.T) {
 	}
 }
 
+// TestWorkloadProfileQuota: the synchronous profile endpoint is admitted
+// through the same per-client quotas as POST /v1/analyze. Over the rate
+// limit or in instruction debt it answers 429 with Retry-After, counted in
+// dp_jobs_rejected_total; each run settles its in-flight slot (also on a
+// bad request) and debits the instructions it executed.
+func TestWorkloadProfileQuota(t *testing.T) {
+	profileURL := func(base, query string) string {
+		return base + "/v1/workloads/histogram/profile" + query
+	}
+	get := func(t *testing.T, url string) *http.Response {
+		t.Helper()
+		resp := getWith(t, url, "")
+		resp.Body.Close()
+		return resp
+	}
+	want429 := func(t *testing.T, resp *http.Response) {
+		t.Helper()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("status %d, want 429", resp.StatusCode)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Fatalf("Retry-After = %q, want a positive integer", resp.Header.Get("Retry-After"))
+		}
+	}
+
+	t.Run("rate", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{
+			Workers: 1,
+			Quotas:  Quotas{SubmitRate: 0.01, SubmitBurst: 1},
+		})
+		if resp := get(t, profileURL(ts.URL, "")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("first profile: %d, want 200", resp.StatusCode)
+		}
+		want429(t, get(t, profileURL(ts.URL, "")))
+		// The endpoint spends the same bucket analyze submissions do.
+		resp, _ := analyzeWith(t, ts.URL, `{"workload":"histogram"}`, "", "")
+		want429(t, resp)
+		sc := scrape(t, ts.URL)
+		if n := mustValue(t, sc, "dp_jobs_rejected_total", metrics.L("reason", rejectRate)); n != 2 {
+			t.Fatalf("ratelimit rejections = %v, want 2", n)
+		}
+	})
+
+	t.Run("instrs", func(t *testing.T) {
+		_, ts := newTestServer(t, Config{
+			Workers: 1,
+			// One histogram run (thousands of instrs) overdraws the budget.
+			Quotas: Quotas{InstrRate: 1, InstrBurst: 10},
+		})
+		if resp := get(t, profileURL(ts.URL, "")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("first profile: %d, want 200", resp.StatusCode)
+		}
+		// The run settled synchronously, so the debt is visible at once.
+		want429(t, get(t, profileURL(ts.URL, "")))
+		resp, _ := analyzeWith(t, ts.URL, `{"workload":"histogram"}`, "", "")
+		want429(t, resp)
+		sc := scrape(t, ts.URL)
+		if n := mustValue(t, sc, "dp_jobs_rejected_total", metrics.L("reason", rejectQuota)); n != 2 {
+			t.Fatalf("quota rejections = %v, want 2", n)
+		}
+	})
+
+	t.Run("inflight", func(t *testing.T) {
+		s, ts := newTestServer(t, Config{
+			Workers: 1,
+			Quotas:  Quotas{MaxInflight: 1},
+		})
+		// A rejected spec and finished runs all hand the one slot back.
+		if resp := get(t, profileURL(ts.URL, "?scale=x")); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("bad scale: %d, want 400", resp.StatusCode)
+		}
+		for i := 0; i < 2; i++ {
+			if resp := get(t, profileURL(ts.URL, "")); resp.StatusCode != http.StatusOK {
+				t.Fatalf("profile %d: %d, want 200", i, resp.StatusCode)
+			}
+		}
+		// With the slot held by an unsettled request, the endpoint refuses.
+		if _, _, ok := s.limits.admit(anonClient); !ok {
+			t.Fatal("could not take the client's only in-flight slot")
+		}
+		want429(t, get(t, profileURL(ts.URL, "")))
+		s.limits.release(anonClient)
+		if resp := get(t, profileURL(ts.URL, "")); resp.StatusCode != http.StatusOK {
+			t.Fatalf("profile after release: %d, want 200", resp.StatusCode)
+		}
+	})
+}
+
 // TestIdempotencyKey submits the same logical job twice under one key and
 // checks the retry is answered from the original record (same ID, replay
 // header, dedupe counter) while different keys and different clients still

@@ -11,6 +11,7 @@ import (
 	"discopop/internal/journal"
 	"discopop/internal/obs"
 	"discopop/internal/pipeline"
+	"discopop/internal/remote"
 )
 
 // Job lifecycle states. There is no "running" state: the engine reports
@@ -65,13 +66,13 @@ type jobView struct {
 
 // jobResult is the client-facing summary of a completed analysis.
 type jobResult struct {
-	Instrs      int64            `json:"instrs"`
-	Deps        int              `json:"deps"`
-	CUs         int              `json:"cus"`
-	CacheHit    bool             `json:"cache_hit"`
-	ElapsedMS   float64          `json:"elapsed_ms"`
-	QueueMS     float64          `json:"queue_ms"`
-	Suggestions []suggestionView `json:"suggestions"`
+	Instrs      int64                   `json:"instrs"`
+	Deps        int                     `json:"deps"`
+	CUs         int                     `json:"cus"`
+	CacheHit    bool                    `json:"cache_hit"`
+	ElapsedMS   float64                 `json:"elapsed_ms"`
+	QueueMS     float64                 `json:"queue_ms"`
+	Suggestions []remote.WireSuggestion `json:"suggestions"`
 	// Peer is the worker that served the analysis when this node proxied
 	// it to a fleet; empty for local runs.
 	Peer string `json:"peer,omitempty"`
@@ -81,18 +82,6 @@ type jobResult struct {
 	// graft into its own trace; GET /v1/jobs/{id}/trace renders them.
 	TraceID string     `json:"trace_id,omitempty"`
 	Spans   []obs.Span `json:"spans,omitempty"`
-}
-
-// suggestionView is one ranked parallelization opportunity.
-type suggestionView struct {
-	Rank      int     `json:"rank"`
-	Kind      string  `json:"kind"`
-	Loc       string  `json:"loc"`
-	Coverage  float64 `json:"coverage"`
-	Speedup   float64 `json:"speedup"`
-	Imbalance float64 `json:"imbalance"`
-	Score     float64 `json:"score"`
-	Notes     string  `json:"notes,omitempty"`
 }
 
 // maxSuggestions caps the per-job result payload; the full ranking is
@@ -456,7 +445,7 @@ func summarize(r *pipeline.JobResult) *jobResult {
 		if s.Score <= 0 || len(out.Suggestions) >= maxSuggestions {
 			break // Ranked is best-first; the tail is all zero-score
 		}
-		out.Suggestions = append(out.Suggestions, suggestionView{
+		out.Suggestions = append(out.Suggestions, remote.WireSuggestion{
 			Rank:      len(out.Suggestions) + 1,
 			Kind:      s.Kind.String(),
 			Loc:       s.Loc.String(),

@@ -60,9 +60,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.V(float64(st.StoreBytes)))
 	e.Counter("dp_busy_seconds_total", "Summed per-job wall time across workers.",
 		metrics.V(st.Busy.Seconds()))
-	e.Gauge("dp_fleet_distinct_deps",
-		"Distinct dependences in the fleet-level accumulator.",
-		metrics.V(float64(st.DistinctDeps)))
 	stages := make([]string, 0, len(st.StageTime))
 	for name := range st.StageTime {
 		stages = append(stages, name)
@@ -91,7 +88,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.V(float64(chits)))
 	e.Counter("dp_compile_cache_misses_total", "Bytecode compile-cache misses (programs compiled).",
 		metrics.V(float64(cmisses)))
-	e.Counter("dp_compile_cache_entries_total", "Live compile-cache entries.",
+	e.Gauge("dp_compile_cache_entries", "Live compile-cache entries.",
 		metrics.V(float64(centries)))
 	e.Histogram("dp_compile_seconds",
 		"Per-job bytecode compile time (compiling jobs only).", latencyHistogram(st.CompileLat))

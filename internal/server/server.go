@@ -206,10 +206,9 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	cache := pipeline.NewProfileCacheSize(cfg.CacheEntries)
 	opt := pipeline.Options{
-		BatchWorkers:     cfg.Workers,
-		Threads:          cfg.Threads,
-		Cache:            cache,
-		CollectFleetDeps: true,
+		BatchWorkers: cfg.Workers,
+		Threads:      cfg.Threads,
+		Cache:        cache,
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -461,6 +460,21 @@ const maxIdemKeyLen = 128
 // is echoed into every span set and journaled result.
 const maxTraceIDLen = 128
 
+// admit charges one analysis request against the client's quotas. Over
+// a limit it answers 429 with a Retry-After estimate, counts the
+// rejection, and reports false. An admitted request holds an in-flight
+// slot until limits.finish settles it or limits.release returns it.
+func (s *Server) admit(w http.ResponseWriter, client string) bool {
+	wait, reason, ok := s.limits.admit(client)
+	if !ok {
+		s.reject(reason)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
+		writeError(w, http.StatusTooManyRequests,
+			"client %q over %s limit; retry later", client, reason)
+	}
+	return ok
+}
+
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	client := clientFrom(r.Context())
 	if s.draining.Load() {
@@ -470,11 +484,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	}
 	// Admission runs before the body is read: an over-limit client does
 	// not get to make the node parse megabyte payloads for free.
-	if wait, reason, ok := s.limits.admit(client); !ok {
-		s.reject(reason)
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
-		writeError(w, http.StatusTooManyRequests,
-			"client %q over %s limit; retry later", client, reason)
+	if !s.admit(w, client) {
 		return
 	}
 	// The admitted in-flight slot is held until the job settles
@@ -778,8 +788,20 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // per-line execution effort as a gzipped pprof profile (sample type
 // "instructions"), directly loadable with `go tool pprof`. The run is
 // synchronous — workload cost is bounded by maxWorkloadScale, the same
-// cap the analyze path relies on.
+// cap the analyze path relies on — and admitted through the client's
+// quotas like a submitted job: it holds an in-flight slot while it runs
+// and debits the instructions it executed.
 func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
+	client := clientFrom(r.Context())
+	if !s.admit(w, client) {
+		return
+	}
+	settled := false
+	defer func() {
+		if !settled {
+			s.limits.release(client)
+		}
+	}()
 	scale := 1
 	if spec := r.URL.Query().Get("scale"); spec != "" {
 		n, err := strconv.Atoi(spec)
@@ -800,6 +822,8 @@ func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	res := profiler.Profile(prog.M, profiler.Options{})
+	s.limits.finish(client, res.TotalInstrs)
+	settled = true
 	data, err := obs.EncodeLineProfile("instructions", "count",
 		obs.ModuleLineSamples(prog.M, res.Lines), time.Now().UnixNano())
 	if err != nil {

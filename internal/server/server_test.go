@@ -680,7 +680,10 @@ func TestCompileCacheMetrics(t *testing.T) {
 	before := scrape(t, ts.URL)
 	mustValue(t, before, "dp_compile_cache_hits_total")
 	mustValue(t, before, "dp_compile_cache_misses_total")
-	mustValue(t, before, "dp_compile_cache_entries_total")
+	mustValue(t, before, "dp_compile_cache_entries")
+	if typ := before.Types["dp_compile_cache_entries"]; typ != "gauge" {
+		t.Errorf("dp_compile_cache_entries TYPE = %q, want gauge (a live count falls on eviction)", typ)
+	}
 	if typ := before.Types["dp_compile_seconds"]; typ != "histogram" {
 		t.Errorf("dp_compile_seconds TYPE = %q, want histogram", typ)
 	}
@@ -714,7 +717,7 @@ func TestCompileCacheMetrics(t *testing.T) {
 		mustValue(t, mid, "dp_compile_cache_misses_total"); d != 0 {
 		t.Errorf("repeat inline submission recompiled (%v new misses)", d)
 	}
-	if v := mustValue(t, after, "dp_compile_cache_entries_total"); v < 1 {
+	if v := mustValue(t, after, "dp_compile_cache_entries"); v < 1 {
 		t.Errorf("compile cache entries = %v, want >= 1", v)
 	}
 	// The identical content must yield the identical analysis.
